@@ -49,6 +49,42 @@
 //! candidates form a suffix), so it is precomputed once per search as a
 //! suffix-min table (`via`), making the bound `O(n)` per node.
 //!
+//! **The edge-cost term.** The node's own set `chosen` was already priced
+//! when its last edge was included, so the bound only has to cover the
+//! subsets *below* the node that are still unpriced — and each of them
+//! buys at least one more candidate from `R`. Candidates are sorted by
+//! ascending weight, so that purchase costs at least `α · w(u, R[0]) =
+//! α · cand_w[idx]`, and the bound adds it to the committed edge cost. A
+//! leaf (`idx == len`) has nothing unpriced below it: its bound is `+∞`.
+//! When `cand_w[idx] = ∞` (the `{1, ∞}` hosts), every unpriced subset
+//! holds an ∞ edge and the `+∞` bound prunes them all.
+//!
+//! # Why the pricing screen is exact
+//!
+//! A newly included set is priced twice at most. The *screened* price
+//! `α · s + Σ D` uses the edge sum `s` the DFS already carries, summed in
+//! DFS order; the *exact* price re-sums the same weights in ascending
+//! node-id order, the order [`candidate_cost`] uses, and only that price
+//! may become an incumbent. The two differ only by summation order. For
+//! `k ≤ n − 1` non-negative weights, two recursive sums of them differ by
+//! at most `2γ_{k−1} · s` (with `γ_m = m·u / (1 − m·u)` and unit
+//! roundoff `u = ε/2`), and the multiply and the add of `Σ D` round once
+//! each. So `|screened − exact| ≤ (k + 1) · ε · exact` to first order,
+//! which the slack `2·n·ε·|screened|` covers with room to spare. The
+//! exact re-sum therefore runs only when `screened − slack` would
+//! strictly beat the incumbent: a skipped set has `exact ≥ screened −
+//! slack ≥ incumbent − EPS`, so it could never have replaced the
+//! incumbent. An ∞ screened price means an ∞ edge or an unreached node,
+//! which is ∞ in either order and never improves. A finite price against
+//! an ∞ incumbent (a disconnected agent) always takes the exact path.
+//!
+//! Both the edge-cost term and the screen skip only subsets that cannot
+//! replace the incumbent, so the sequence of incumbent updates — and the
+//! reported strategy and cost bits — are those of an exhaustive pricing
+//! in the same visit order, up to the sub-`EPS` near-ties discussed
+//! below (proptested against brute force on every registered host
+//! family).
+//!
 //! Costs are **bit-identical** to the reference engine on any instance
 //! whose distinct candidate subsets are not tied within
 //! [`EPS`](gncg_graph::EPS): the incremental vector equals a from-scratch
@@ -83,6 +119,10 @@ pub struct BestResponse {
     pub current_cost: f64,
     /// Number of candidate subsets fully evaluated (diagnostic).
     pub evaluated: usize,
+    /// Number of branch-and-bound nodes visited, pruned ones included
+    /// (diagnostic; kept out of every JSONL line). The reference engine
+    /// does not count its nodes and reports 0.
+    pub nodes: usize,
 }
 
 impl BestResponse {
@@ -145,6 +185,7 @@ struct BrWorker {
     best_cost: f64,
     best_set: BTreeSet<NodeId>,
     evaluated: usize,
+    nodes: usize,
 }
 
 impl BrWorker {
@@ -156,6 +197,7 @@ impl BrWorker {
             best_cost: f64::INFINITY,
             best_set: BTreeSet::new(),
             evaluated: 0,
+            nodes: 0,
         }
     }
 
@@ -177,6 +219,7 @@ impl BrWorker {
         self.best_set.clear();
         self.best_set.extend(current_set.iter().copied());
         self.evaluated = 0;
+        self.nodes = 0;
         self.inc.set_weight_class(weight_class);
         self.inc.reset_from(agent, d0);
     }
@@ -200,6 +243,7 @@ impl BrWorker {
             cost: self.best_cost,
             current_cost: current,
             evaluated: self.evaluated,
+            nodes: self.nodes,
         }
     }
 }
@@ -268,33 +312,46 @@ impl<'g> BrSearch<'g> {
 }
 
 impl BrSearchView<'_> {
-    /// The admissible lower bound at a node: committed edge cost plus
-    /// `Σ_x min(live dist, optimistic completion dist)`.
+    /// The admissible lower bound on every subset under a node that the
+    /// search has not priced yet (the node's own chosen set was priced
+    /// when its last edge was included): committed edge cost plus the
+    /// cheapest remaining edge, plus `Σ_x min(live dist, optimistic
+    /// completion dist)`. `+∞` at a leaf, where nothing is left to price.
     #[inline]
     fn lower_bound(&self, worker: &BrWorker, idx: usize, edge_w_sum: f64) -> f64 {
+        if idx == self.candidates.len() {
+            return f64::INFINITY;
+        }
         let via_row = &self.via[idx * self.n..(idx + 1) * self.n];
         let dist = worker.inc.dist();
         let mut lb = 0.0;
         for x in 0..self.n {
             lb += dist[x].min(via_row[x]);
         }
-        self.game.alpha() * edge_w_sum + lb
+        self.game.alpha() * (edge_w_sum + self.cand_w[idx]) + lb
     }
 
     /// Prices the worker's current chosen set off the live vector and
-    /// tightens the incumbent. The edge sum is re-accumulated in ascending
-    /// node-id order (not DFS order) so totals match [`candidate_cost`]
-    /// exactly — f64 addition is order-sensitive.
+    /// tightens the incumbent. `edge_w_sum` is the set's edge sum in DFS
+    /// order; it screens the set first, and only a set that may beat the
+    /// incumbent gets its edge sum re-accumulated in ascending node-id
+    /// order, so totals match [`candidate_cost`] exactly — f64 addition
+    /// is order-sensitive.
     #[inline]
-    fn evaluate_current(&self, worker: &mut BrWorker) {
+    fn evaluate_current(&self, worker: &mut BrWorker, edge_w_sum: f64) {
+        worker.evaluated += 1;
+        let dist_sum = worker.inc.sum();
+        let screened = self.game.alpha() * edge_w_sum + dist_sum;
+        if !screen_may_improve(screened, worker.best_cost, self.n) {
+            return;
+        }
         let mut edge_sum = 0.0;
         for v in 0..self.n {
             if worker.in_set[v] {
                 edge_sum += self.game.w(self.agent, v as NodeId);
             }
         }
-        let cost = self.game.alpha() * edge_sum + worker.inc.sum();
-        worker.evaluated += 1;
+        let cost = self.game.alpha() * edge_sum + dist_sum;
         if strictly_less(cost, worker.best_cost) {
             worker.best_cost = cost;
             worker.best_set = worker.chosen.iter().copied().collect();
@@ -305,12 +362,11 @@ impl BrSearchView<'_> {
     /// set at entry has already been evaluated; `worker.inc` holds its
     /// exact distance vector.
     fn dfs(&self, worker: &mut BrWorker, idx: usize, edge_w_sum: f64) {
+        worker.nodes += 1;
         if self.lower_bound(worker, idx, edge_w_sum) >= worker.best_cost - gncg_graph::EPS {
             // No completion below this node can strictly beat the
-            // incumbent; every subset under it is dominated.
-            return;
-        }
-        if idx == self.candidates.len() {
+            // incumbent; every subset under it is dominated. Leaves
+            // always stop here (their bound is +∞).
             return;
         }
         let v = self.candidates[idx];
@@ -319,7 +375,7 @@ impl BrSearchView<'_> {
         worker.inc.add_edge(self.csr, self.agent, v, w);
         worker.chosen.push(v);
         worker.in_set[v as usize] = true;
-        self.evaluate_current(worker);
+        self.evaluate_current(worker, edge_w_sum + w);
         self.dfs(worker, idx + 1, edge_w_sum + w);
         worker.in_set[v as usize] = false;
         worker.chosen.pop();
@@ -327,6 +383,24 @@ impl BrSearchView<'_> {
         // Branch 2: exclude v.
         self.dfs(worker, idx + 1, edge_w_sum);
     }
+}
+
+/// The pricing screen: whether a set whose cost, priced with its edge
+/// sum in DFS order, is `screened` could still strictly beat
+/// `incumbent` once re-priced exactly in ascending-id order. The two
+/// prices of one set differ only by summation order, which the slack
+/// covers (see the module docs); the screen is therefore exact —
+/// `false` only for sets that cannot replace the incumbent.
+#[inline]
+fn screen_may_improve(screened: f64, incumbent: f64, n: usize) -> bool {
+    if screened == f64::INFINITY {
+        // An ∞ edge or an unreached node prices ∞ in either order.
+        return false;
+    }
+    // A finite price always beats an ∞ incumbent, so a disconnected
+    // agent's first finite set takes the exact path.
+    let slack = 2.0 * n as f64 * f64::EPSILON * screened.abs();
+    strictly_less(screened - slack, incumbent)
 }
 
 /// Exact best response of `agent` via incremental depth-first
@@ -371,7 +445,7 @@ pub fn exact_best_response_given_current(
 
     let mut worker = BrWorker::fresh(&search, current, profile.strategy(agent));
     // The empty set is the one subset with no include step: price it here.
-    view.evaluate_current(&mut worker);
+    view.evaluate_current(&mut worker, 0.0);
     view.dfs(&mut worker, 0, 0.0);
 
     worker.take_result(current)
@@ -416,7 +490,7 @@ pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeI
     let view = search.view();
 
     let split = SPLIT_DEPTH;
-    let results: Vec<(f64, BTreeSet<NodeId>, usize)> = (0u32..(1 << split))
+    let results: Vec<(f64, BTreeSet<NodeId>, usize, usize)> = (0u32..(1 << split))
         .into_par_iter()
         .map(|prefix_mask| {
             let mut worker = BrWorker::fresh(&search, current, profile.strategy(agent));
@@ -434,17 +508,24 @@ pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeI
             // Each prefix set is a complete subset in exactly this task:
             // price it before descending (subsets with includes past the
             // split are priced at their last include inside the DFS).
-            view.evaluate_current(&mut worker);
+            view.evaluate_current(&mut worker, edge_w_sum);
             view.dfs(&mut worker, split, edge_w_sum);
-            (worker.best_cost, worker.best_set, worker.evaluated)
+            (
+                worker.best_cost,
+                worker.best_set,
+                worker.evaluated,
+                worker.nodes,
+            )
         })
         .collect();
 
     let mut best_cost = current;
     let mut best_set: BTreeSet<NodeId> = profile.strategy(agent).clone();
     let mut evaluated = 0usize;
-    for (c, s, e) in results {
+    let mut nodes = 0usize;
+    for (c, s, e, k) in results {
         evaluated += e;
+        nodes += k;
         if strictly_less(c, best_cost) {
             best_cost = c;
             best_set = s;
@@ -455,6 +536,7 @@ pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeI
         cost: best_cost,
         current_cost: current,
         evaluated,
+        nodes,
     }
 }
 
@@ -957,7 +1039,7 @@ impl BrBoundCache {
             cand_w: &self.cand_w,
             via: &self.via,
         };
-        view.evaluate_current(worker);
+        view.evaluate_current(worker, 0.0);
         view.dfs(worker, 0, 0.0);
         let result = worker.take_result(current);
         #[cfg(debug_assertions)]
@@ -1013,7 +1095,7 @@ impl BrBoundCache {
         }
         let view = search.view();
         let mut worker = BrWorker::fresh(&search, current, profile.strategy(self.agent));
-        view.evaluate_current(&mut worker);
+        view.evaluate_current(&mut worker, 0.0);
         view.dfs(&mut worker, 0, 0.0);
         assert_eq!(
             got.strategy, worker.best_set,
@@ -1072,6 +1154,7 @@ pub fn exact_best_response_reference(
         cost: best_cost,
         current_cost: current,
         evaluated,
+        nodes: 0,
     }
 }
 
@@ -2031,5 +2114,250 @@ mod tests {
             brute = brute.min(c);
         }
         assert!(gncg_graph::approx_eq(br.cost, brute));
+    }
+
+    #[test]
+    fn screen_never_skips_a_set_that_would_replace_the_incumbent() {
+        // Edge weights spread over 16 orders of magnitude make the DFS-order
+        // and ascending-id sums of one set round differently; for every
+        // set and every order, the tightest incumbent the exact price
+        // would still beat must pass the screen.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..2000 {
+            let n = 2 + (next() % 30) as usize;
+            let k = 1 + (next() % (n as u64 - 1)) as usize;
+            let weights: Vec<f64> = (0..k)
+                .map(|_| 10f64.powi((next() % 17) as i32 - 8) * (1.0 + (next() % 1000) as f64))
+                .collect();
+            let alpha = 10f64.powi((next() % 9) as i32 - 4);
+            let dist_sum = (next() % 10_000) as f64 * 0.37;
+            let ascending: f64 = weights.iter().fold(0.0, |acc, &w| acc + w);
+            let mut order = weights.clone();
+            for i in (1..k).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let dfs_order: f64 = order.iter().fold(0.0, |acc, &w| acc + w);
+            let exact = alpha * ascending + dist_sum;
+            let screened = alpha * dfs_order + dist_sum;
+            let mut incumbent = exact + gncg_graph::EPS;
+            while !strictly_less(exact, incumbent) {
+                incumbent = incumbent.next_up();
+            }
+            assert!(
+                screen_may_improve(screened, incumbent, n),
+                "trial {trial}: screened {screened} skipped exact {exact} < {incumbent}"
+            );
+            // A disconnected agent's ∞ incumbent: always the exact path.
+            assert!(screen_may_improve(screened, f64::INFINITY, n));
+        }
+        // An ∞ price never improves, on any incumbent.
+        assert!(!screen_may_improve(f64::INFINITY, f64::INFINITY, 5));
+        assert!(!screen_may_improve(f64::INFINITY, 1.0e300, 5));
+        // Far above the incumbent, the screen does skip.
+        assert!(!screen_may_improve(10.0, 5.0, 5));
+    }
+
+    /// The branch-and-bound bound and the pricing screen against brute
+    /// force on every registered host family (∞ weights included), from
+    /// sparse, often disconnected starting profiles, at α well below and
+    /// well above the host's edge-weight scale.
+    mod bound_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A game on factory `key` with α a multiple of the host's mean
+        /// finite edge weight.
+        fn factory_game(key: usize, n: usize, seed: u64, alpha_factor: f64) -> Game {
+            let host = gncg_metrics::factory::registry()[key].build(n, seed);
+            let (mut sum, mut count) = (0.0, 0usize);
+            for u in 0..n as NodeId {
+                for v in u + 1..n as NodeId {
+                    if host.get(u, v).is_finite() {
+                        sum += host.get(u, v);
+                        count += 1;
+                    }
+                }
+            }
+            let scale = if count > 0 && sum > 0.0 {
+                sum / count as f64
+            } else {
+                1.0
+            };
+            Game::new(host, alpha_factor * scale)
+        }
+
+        /// A random instance: game, profile (random finite-weight
+        /// purchases at a density that leaves many agents disconnected),
+        /// and the deviating agent.
+        fn instance() -> impl Strategy<Value = (Game, Profile, NodeId)> {
+            (
+                (0usize..9, 2usize..10, 0u64..1 << 16),
+                (0usize..4, 0usize..3),
+                (0u32..9, proptest::collection::vec(0u64..1000, 81)),
+            )
+                .prop_map(|((key, n, seed), (a, d), (agent, draws))| {
+                    let alpha_factor = [0.02, 0.6, 3.0, 40.0][a];
+                    let density = [0.0, 0.06, 0.18][d];
+                    let game = factory_game(key, n, seed, alpha_factor);
+                    let mut p = Profile::empty(n);
+                    for u in 0..n as NodeId {
+                        for v in 0..n as NodeId {
+                            let i = u as usize * n + v as usize;
+                            let buy = (draws[i] as f64) < density * 1000.0;
+                            if u != v && buy && game.w(u, v).is_finite() && !p.has_edge(u, v) {
+                                p.buy(u, v);
+                            }
+                        }
+                    }
+                    (game, p, agent % n as NodeId)
+                })
+        }
+
+        /// Exact price of every subset of the candidates, indexed by its
+        /// bitmask over candidate positions.
+        fn subset_costs(search: &BrSearch<'_>, base: &AdjacencyList) -> Vec<f64> {
+            let len = search.candidates.len();
+            (0..1usize << len)
+                .map(|mask| {
+                    let set: BTreeSet<NodeId> = (0..len)
+                        .filter(|&i| mask & (1 << i) != 0)
+                        .map(|i| search.candidates[i])
+                        .collect();
+                    candidate_cost(search.game, base, search.agent, &set).total()
+                })
+                .collect()
+        }
+
+        /// Walks the whole include/exclude tree without pruning, checking
+        /// the bound at every node against the cheapest subset it prunes,
+        /// and the screen on every set the DFS would price.
+        fn walk(
+            view: &BrSearchView<'_>,
+            worker: &mut BrWorker,
+            costs: &[f64],
+            idx: usize,
+            mask: usize,
+            edge_w_sum: f64,
+        ) {
+            let len = view.candidates.len();
+            // The node's unpriced subtree: `mask ∪ T` for non-empty `T`
+            // over candidate positions `idx..len`.
+            let free = ((1usize << len) - 1) & !((1usize << idx) - 1);
+            let mut below = f64::INFINITY;
+            let mut t = free;
+            while t != 0 {
+                below = below.min(costs[mask | t]);
+                t = (t - 1) & free;
+            }
+            let lb = view.lower_bound(worker, idx, edge_w_sum);
+            // Summation order alone separates the bound from a tight price.
+            assert!(
+                lb <= below * (1.0 + 1e-12),
+                "inadmissible bound at depth {idx}, set {mask:b}: {lb} > {below}"
+            );
+            if idx == len {
+                return;
+            }
+            let (v, w) = (view.candidates[idx], view.cand_w[idx]);
+            worker.inc.add_edge(view.csr, view.agent, v, w);
+            let child = mask | 1 << idx;
+            let screened = view.game.alpha() * (edge_w_sum + w) + worker.inc.sum();
+            let exact = costs[child];
+            if exact.is_finite() {
+                let mut incumbent = exact + gncg_graph::EPS;
+                while !strictly_less(exact, incumbent) {
+                    incumbent = incumbent.next_up();
+                }
+                assert!(screen_may_improve(screened, incumbent, view.n));
+            }
+            assert!(screen_may_improve(screened, f64::INFINITY, view.n) == exact.is_finite());
+            walk(view, worker, costs, idx + 1, child, edge_w_sum + w);
+            worker.inc.undo();
+            walk(view, worker, costs, idx + 1, mask, edge_w_sum);
+        }
+
+        /// The search's answer with pruning and screening switched off:
+        /// every subset priced exactly, in the DFS's own visit order,
+        /// against the same strictly-less incumbent rule.
+        fn unpruned_answer(
+            search: &BrSearch<'_>,
+            costs: &[f64],
+            current: f64,
+            current_set: &BTreeSet<NodeId>,
+        ) -> (f64, BTreeSet<NodeId>) {
+            fn visit(costs: &[f64], len: usize, idx: usize, mask: usize, best: &mut (f64, usize)) {
+                if idx == len {
+                    return;
+                }
+                let child = mask | 1 << idx;
+                if strictly_less(costs[child], best.0) {
+                    *best = (costs[child], child);
+                }
+                visit(costs, len, idx + 1, child, best);
+                visit(costs, len, idx + 1, mask, best);
+            }
+            let len = search.candidates.len();
+            let mut best = (current, usize::MAX);
+            if strictly_less(costs[0], best.0) {
+                best = (costs[0], 0);
+            }
+            visit(costs, len, 0, 0, &mut best);
+            let set = if best.1 == usize::MAX {
+                current_set.clone()
+            } else {
+                (0..len)
+                    .filter(|&i| best.1 & (1 << i) != 0)
+                    .map(|i| search.candidates[i])
+                    .collect()
+            };
+            (best.0, set)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(120))]
+
+            /// At every DFS node the bound is at most the brute-force
+            /// minimum over the node's subtree (the node's own, already
+            /// priced set excluded), and the screen passes every set
+            /// whose exact price could replace any incumbent.
+            #[test]
+            fn bound_is_admissible_at_every_node(inst in instance()) {
+                let (game, p, agent) = inst;
+                let base = base_graph_without(&game, &p, agent);
+                let search = BrSearch::new(&game, agent, &base);
+                let costs = subset_costs(&search, &base);
+                let current = agent_cost_in(&game, &p, &p.build_network(&game), agent).total();
+                let mut worker = BrWorker::fresh(&search, current, p.strategy(agent));
+                walk(&search.view(), &mut worker, &costs, 0, 0, 0.0);
+            }
+
+            /// The pruned, screened search returns bit for bit what an
+            /// exhaustive pricing in the same visit order returns, and
+            /// the same cost bits as the reference engine. The strategies
+            /// of the two engines can differ on exact ties: the reference
+            /// prices leaves, so it meets `{c, d}` before `{c}`, while
+            /// this search prices `{c}` first.
+            #[test]
+            fn exact_br_matches_exhaustive_and_reference(inst in instance()) {
+                let (game, p, agent) = inst;
+                let base = base_graph_without(&game, &p, agent);
+                let search = BrSearch::new(&game, agent, &base);
+                let costs = subset_costs(&search, &base);
+                let br = exact_best_response(&game, &p, agent);
+                let (cost, set) = unpruned_answer(&search, &costs, br.current_cost, p.strategy(agent));
+                prop_assert_eq!(br.cost.to_bits(), cost.to_bits());
+                prop_assert_eq!(&br.strategy, &set);
+                let refr = exact_best_response_reference(&game, &p, agent);
+                prop_assert_eq!(br.current_cost.to_bits(), refr.current_cost.to_bits());
+                prop_assert_eq!(br.cost.to_bits(), refr.cost.to_bits());
+                prop_assert!(br.nodes >= 1 && br.evaluated >= 1);
+            }
+        }
     }
 }

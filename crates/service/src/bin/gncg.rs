@@ -135,6 +135,13 @@ impl Options {
                 other => invalid(format_args!("unknown flag: {other}")),
             }
         }
+        // `Game::new` asserts α > 0; refuse it here as a usage error.
+        if !(o.alpha.is_finite() && o.alpha > 0.0) {
+            invalid(format_args!(
+                "--alpha must be finite and positive, got {}",
+                o.alpha
+            ));
+        }
         o
     }
 

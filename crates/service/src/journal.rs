@@ -352,6 +352,28 @@ mod tests {
     }
 
     #[test]
+    fn non_positive_alpha_records_are_dropped_on_replay() {
+        // A journal written before α ≤ 0 was refused at validation can
+        // hold such a submit; replaying it would panic a worker on every
+        // restart, so replay drops it like any record that no longer
+        // validates.
+        let path = tmp("alpha.journal");
+        let _ = fs::remove_file(&path);
+        {
+            let (mut j, _, _) = Journal::open(&path).unwrap();
+            j.record_submit(1, None, &spec());
+            let zero = ScenarioSpec {
+                alphas: vec![0.0],
+                ..spec()
+            };
+            j.record_submit(2, None, &zero);
+        }
+        let (_, replayed, _) = Journal::open(&path).unwrap();
+        let jobs: Vec<_> = replayed.iter().map(|r| r.job).collect();
+        assert_eq!(jobs, vec![1]);
+    }
+
+    #[test]
     fn disabled_journal_is_inert() {
         let mut j = Journal::disabled();
         j.record_submit(1, None, &spec());

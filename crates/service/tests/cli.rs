@@ -227,6 +227,27 @@ fn cli_tail_writes_cell_ordered_bytes() {
 }
 
 #[test]
+fn cli_refuses_non_positive_alpha_with_exit_2() {
+    let out = tmp_dir().join("alpha-zero.jsonl");
+    let grid = gncg()
+        .args(["grid", "--out", out.to_str().unwrap()])
+        .args(["--hosts", "unit", "--n", "6", "--alpha", "0"])
+        .args(["--rules", "greedy", "--seed-count", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(grid.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&grid.stderr).contains("must be positive"));
+    assert!(!out.exists(), "a refused grid must write nothing");
+    for alpha in ["0", "-2"] {
+        let simulate = gncg()
+            .args(["simulate", "--host", "unit", "--n", "6", "--alpha", alpha])
+            .output()
+            .unwrap();
+        assert_eq!(simulate.status.code(), Some(2), "--alpha {alpha}");
+    }
+}
+
+#[test]
 fn cli_resume_refuses_broken_manifest() {
     // The CLI rebuilds the spec from the manifest, so a *valid* edited
     // manifest is (by construction) self-consistent; the mismatch guard

@@ -269,6 +269,56 @@ fn oversized_grids_are_refused_before_expansion() {
 }
 
 #[test]
+fn non_positive_alpha_is_refused_before_the_journal() {
+    let dir = tmp_dir().join("alpha");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("jobs.journal");
+    let cfg = || ServiceConfig {
+        workers: 1,
+        journal_path: Some(journal.clone()),
+        ..ServiceConfig::default()
+    };
+    let small = ScenarioSpec {
+        hosts: vec!["unit".into()],
+        ns: vec![5],
+        alphas: vec![2.0],
+        schedulers: vec![SchedSpec::RoundRobin],
+        seeds: vec![0],
+        ..spec()
+    };
+    let (server, addr) = start_server(cfg());
+    let mut client = Client::connect(&addr).unwrap();
+    for alpha in [0.0, -1.0] {
+        let bad = ScenarioSpec {
+            alphas: vec![2.0, alpha],
+            ..small.clone()
+        };
+        let err = client.submit(&bad).unwrap_err();
+        assert!(err.contains("must be positive"), "{err}");
+    }
+    assert!(
+        !fs::read_to_string(&journal).unwrap().contains("submit"),
+        "a refused submit must never reach the journal"
+    );
+    // The daemon keeps serving on the same connection.
+    client.ping().unwrap();
+    let mut sink = Vec::new();
+    let (ack, sum) = client.submit_and_stream(&small, &mut sink).unwrap();
+    assert_eq!(sum.cells, small.cell_count());
+    client.shutdown().unwrap();
+    server.wait();
+
+    // A restart replays nothing: the one accepted job finished.
+    let (server, addr) = start_server(cfg());
+    let mut client = Client::connect(&addr).unwrap();
+    let next = client.submit(&small).unwrap();
+    assert_eq!(next.job, ack.job + 1, "no refused submit took a job id");
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
 fn queue_cap_refuses_excess_jobs() {
     let (server, addr) = start_server(ServiceConfig {
         workers: 1,

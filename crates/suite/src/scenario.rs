@@ -385,7 +385,7 @@ impl ScenarioSpec {
 
     /// Checks the spec is runnable and manifest-safe: every axis
     /// non-empty, every host key registered, positive round cap, finite
-    /// αs, and a name the line-oriented manifest can round-trip.
+    /// positive αs, and a name the line-oriented manifest can round-trip.
     pub fn validate(&self) -> Result<(), String> {
         match self.checked_cell_count() {
             Some(0) => {
@@ -417,6 +417,9 @@ impl ScenarioSpec {
                 return Err(format!(
                     "alpha = {alpha} is not finite (JSONL cells could not round-trip it)"
                 ));
+            }
+            if alpha <= 0.0 {
+                return Err(format!("alpha = {alpha} must be positive"));
             }
         }
         Ok(())
@@ -1154,6 +1157,21 @@ mod tests {
         let mut spec = tiny_spec();
         spec.alphas = vec![f64::NAN];
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_alpha() {
+        // `Game::new` asserts α > 0: a spec that validates must never
+        // reach that assertion in a cell.
+        for alpha in [0.0, -0.0, -1.5, -f64::MIN_POSITIVE] {
+            let mut spec = tiny_spec();
+            spec.alphas = vec![2.0, alpha];
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("must be positive"), "{err}");
+        }
+        let mut spec = tiny_spec();
+        spec.alphas = vec![f64::MIN_POSITIVE];
+        spec.validate().unwrap();
     }
 
     #[test]

@@ -102,6 +102,14 @@ br_grid() {
 br_grid 1
 br_grid 4
 
+echo "== end-to-end benchmark: self-tests and a short br-exact run" >&2
+# The benchmark (BENCHMARK.json, e2ebench/) checks every result line of
+# its run against the per-seed digests in e2ebench/references.txt and
+# exits non-zero on a mismatch, so drift in exact-BR bytes fails here.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+  --workload br-exact --seed 0 --seconds 3 --trace 0 >/dev/null
+
 echo "== horizon-policy grid vs committed golden (24 cells, n = 20)" >&2
 # Bounded-horizon pricing at n = 20 > PRICE_HORIZON, where the truncated
 # speculative relaxations genuinely shape move selection: the committed
