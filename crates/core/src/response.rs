@@ -7,6 +7,21 @@
 //! the instance sizes of the experiments (n ≲ 20) and for the structured
 //! reduction gadgets where the pruning bound collapses the search space.
 //!
+//! # Entry points
+//!
+//! * One-shot wrappers that build the network and price the agent's
+//!   current strategy themselves: [`exact_best_response`],
+//!   [`best_greedy_move`], [`best_add_move`] and [`best_move_among`].
+//! * Oracles, which rebuild their state from scratch on every call:
+//!   [`exact_best_response_given_current`] and
+//!   [`best_move_among_given_current`] take a prebuilt network and the
+//!   agent's current cost, and [`exact_best_response_reference`] is the
+//!   historical leaf-pricing search. They back the one-shot wrappers, the
+//!   debug-build checks of the fast paths, and the bench baselines.
+//! * The fast paths the dynamics engine runs: the speculative move scan
+//!   [`best_move_among_speculative`] over a warm distance vector, and the
+//!   persistent bound tables [`BrBoundCache`].
+//!
 //! # The incremental engine
 //!
 //! The historical implementation ([`exact_best_response_reference`]) priced
@@ -103,9 +118,7 @@ use gncg_graph::{
     strictly_less, AdjacencyList, Csr, DijkstraScratch, DynamicSssp, MaskedEdges, NodeId,
 };
 
-use crate::cost::{
-    agent_cost_in, base_graph_from, base_graph_without, candidate_cost, CostBreakdown,
-};
+use crate::cost::{agent_cost_in, base_graph_from, base_graph_without, candidate_cost};
 use crate::{Game, Move, Profile};
 
 /// Result of a best-response computation.
@@ -409,25 +422,15 @@ fn screen_may_improve(screened: f64, incumbent: f64, n: usize) -> bool {
 /// incumbent, so the search also certifies equilibria quickly.
 pub fn exact_best_response(game: &Game, profile: &Profile, agent: NodeId) -> BestResponse {
     let network = profile.build_network(game);
-    exact_best_response_in(game, profile, &network, agent)
+    let current = agent_cost_in(game, profile, &network, agent).total();
+    exact_best_response_given_current(game, profile, &network, agent, current)
 }
 
-/// [`exact_best_response`] reusing an already-built network `G(s)` — the
-/// entry point for the dynamics engine's cached-network evaluation.
-pub fn exact_best_response_in(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> BestResponse {
-    let current = agent_cost_in(game, profile, network, agent).total();
-    exact_best_response_given_current(game, profile, network, agent, current)
-}
-
-/// [`exact_best_response_in`] with the agent's current cost supplied by
-/// the caller — the entry point for the dynamics engine's warm per-agent
-/// distance vectors, which price the current strategy without the
-/// per-activation Dijkstra `agent_cost_in` would run.
+/// [`exact_best_response`] in an already-built network `G(s)`, with the
+/// agent's current cost supplied by the caller. It rebuilds the whole
+/// search state (a CSR snapshot plus the bound table's Dijkstras) on
+/// every call: the oracle that [`BrBoundCache`] is checked against, and
+/// the rebuild baseline of the `br_grid` bench.
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
@@ -478,13 +481,13 @@ pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeI
     const SPLIT_DEPTH: usize = 4;
 
     let network = profile.build_network(game);
+    let current = agent_cost_in(game, profile, &network, agent).total();
     // The candidate count is n − 1; check it before paying for the search
     // state (the via table costs n Dijkstras) the sequential path would
     // rebuild anyway.
     if game.n().saturating_sub(1) < MIN_PARALLEL_CANDIDATES || rayon::current_num_threads() == 1 {
-        return exact_best_response_in(game, profile, &network, agent);
+        return exact_best_response_given_current(game, profile, &network, agent, current);
     }
-    let current = agent_cost_in(game, profile, &network, agent).total();
     let base = base_graph_from(&network, profile, agent);
     let search = BrSearch::new(game, agent, &base);
     let view = search.view();
@@ -1224,64 +1227,10 @@ pub fn best_greedy_move(game: &Game, profile: &Profile, agent: NodeId) -> Option
     best_move_among(game, profile, agent, &Move::greedy_moves(profile, agent))
 }
 
-/// [`best_greedy_move`] reusing an already-built network.
-pub fn best_greedy_move_in(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> Option<(Move, f64)> {
-    best_greedy_move_in_costed(game, profile, network, agent).1
-}
-
-/// [`best_greedy_move_in`] that also returns the agent's current cost —
-/// the move scan computes it anyway, and the dynamics engine needs both
-/// (one SSSP instead of two per activation).
-pub fn best_greedy_move_in_costed(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> (f64, Option<(Move, f64)>) {
-    best_move_among_in_costed(
-        game,
-        profile,
-        network,
-        agent,
-        &Move::greedy_moves(profile, agent),
-    )
-}
-
 /// The best single edge *addition* of `agent`, if an improving one exists
 /// (the move space of Add-only Equilibria).
 pub fn best_add_move(game: &Game, profile: &Profile, agent: NodeId) -> Option<(Move, f64)> {
     best_move_among(game, profile, agent, &Move::add_moves(profile, agent))
-}
-
-/// [`best_add_move`] reusing an already-built network.
-pub fn best_add_move_in(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> Option<(Move, f64)> {
-    best_add_move_in_costed(game, profile, network, agent).1
-}
-
-/// [`best_add_move_in`] that also returns the agent's current cost.
-pub fn best_add_move_in_costed(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-) -> (f64, Option<(Move, f64)>) {
-    best_move_among_in_costed(
-        game,
-        profile,
-        network,
-        agent,
-        &Move::add_moves(profile, agent),
-    )
 }
 
 /// Evaluates a set of moves and returns the best strictly-improving one.
@@ -1292,47 +1241,20 @@ pub fn best_move_among(
     moves: &[Move],
 ) -> Option<(Move, f64)> {
     let network = profile.build_network(game);
-    best_move_among_in(game, profile, &network, agent, moves)
+    let current = agent_cost_in(game, profile, &network, agent).total();
+    best_move_among_given_current(game, profile, &network, agent, current, moves)
 }
 
-/// [`best_move_among`] reusing an already-built network: the network is
-/// built (or cached) once and the base graph is derived from it, instead
-/// of the historical double build per evaluation.
-pub fn best_move_among_in(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-    moves: &[Move],
-) -> Option<(Move, f64)> {
-    best_move_among_in_costed(game, profile, network, agent, moves).1
-}
-
-/// [`best_move_among_in`] that also returns the agent's current cost,
-/// which the incumbent comparison computes anyway.
-pub fn best_move_among_in_costed(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    agent: NodeId,
-    moves: &[Move],
-) -> (f64, Option<(Move, f64)>) {
-    let current = agent_cost_in(game, profile, network, agent).total();
-    (
-        current,
-        best_move_among_given_current(game, profile, network, agent, current, moves),
-    )
-}
-
-/// [`best_move_among_in_costed`] with the agent's current cost supplied
-/// by the caller (see [`exact_best_response_given_current`] for the
-/// contract on `current`).
+/// [`best_move_among`] in an already-built network, with the agent's
+/// current cost supplied by the caller (see
+/// [`exact_best_response_given_current`] for the contract on `current`).
 ///
 /// Prices every candidate with a masked from-scratch Dijkstra
-/// ([`candidate_cost`]) — the historical scan, kept as the equivalence
-/// **oracle** and measured baseline of the speculative scan
-/// ([`best_move_among_speculative`]), which produces bitwise-identical
-/// choices and totals off a warm distance vector.
+/// ([`candidate_cost`]): the **oracle** of the speculative scan
+/// ([`best_move_among_speculative`], which produces bitwise-identical
+/// choices and totals off a warm distance vector under
+/// [`SpeculativePricing::FullSum`]) and the masked baseline of the
+/// `move_scan` bench.
 pub fn best_move_among_given_current(
     game: &Game,
     profile: &Profile,
@@ -1353,69 +1275,6 @@ pub fn best_move_among_given_current(
         }
     }
     best
-}
-
-/// [`best_move_among_given_current`] evaluated **speculatively** against
-/// the agent's warm distance vector instead of one masked Dijkstra per
-/// candidate.
-///
-/// `warm` must hold the agent's exact distance vector in `network`
-/// (source `agent`, bitwise what a fresh Dijkstra produces — e.g. the
-/// dynamics engine's warm per-agent vector), and `current` the agent's
-/// exact current total cost. Each single-edge candidate is priced by the
-/// speculation-frame lifecycle of `gncg_graph::csr`:
-///
-/// 1. **apply** — open a frame and stage the move's network-level edge
-///    delta on the vector: a dropped sole-owned edge is a logged
-///    Ramalingam–Reps repair over a [`MaskedEdges`] view of `network`
-///    (the graph itself is never mutated), a genuinely new edge is a
-///    logged source-incident relaxation;
-/// 2. **read** — the candidate's distance cost is the warm sum, in the
-///    same index order the oracle sums its Dijkstra vector, and its edge
-///    cost re-accumulates in ascending node-id order, matching
-///    [`candidate_cost`]'s `BTreeSet` iteration bit for bit;
-/// 3. **rollback** — the frame restores the pre-move vector bitwise, so
-///    the next candidate starts from the same warm state.
-///
-/// Degenerate deltas (dropping a co-owned edge, gaining an
-/// already-present one) change no distances and read the current sum
-/// directly. [`Move::Replace`] candidates are not single-edge deltas and
-/// fall back to the oracle's [`candidate_cost`] pricing.
-///
-/// Returns exactly what [`best_move_among_given_current`] returns — the
-/// same chosen move and the same cost bits (debug-asserted against the
-/// oracle, alongside the bitwise restoration of `warm`).
-///
-/// Every move must be *valid for `profile`* in the [`Move::apply`] sense
-/// (deletes and swap-drops name owned edges, adds and swap-gains name
-/// non-owned ones) — the shape [`Move::greedy_moves`] /
-/// [`Move::add_moves`] enumerate. The oracle enforces this with
-/// assertions inside `Move::apply`; this path relies on it (an invalid
-/// move may panic on a missing network edge or price the edge term
-/// differently from a set-based candidate).
-///
-/// This entry point always prices with [`SpeculativePricing::FullSum`];
-/// [`best_move_among_speculative_priced`] exposes the bounded-horizon
-/// [`SpeculativePricing::RegionDelta`] policy.
-pub fn best_move_among_speculative(
-    game: &Game,
-    profile: &Profile,
-    network: &AdjacencyList,
-    warm: &mut DynamicSssp,
-    agent: NodeId,
-    current: f64,
-    moves: &[Move],
-) -> Option<(Move, f64)> {
-    best_move_among_speculative_priced(
-        game,
-        profile,
-        network,
-        warm,
-        agent,
-        current,
-        moves,
-        SpeculativePricing::FullSum,
-    )
 }
 
 /// How the speculative move scan reads a candidate's distance cost off
@@ -1453,10 +1312,52 @@ pub enum SpeculativePricing {
 /// dynamics chooses, so tuning it is a byte-stream-breaking change.
 pub const PRICE_HORIZON: usize = 16;
 
-/// [`best_move_among_speculative`] with an explicit pricing policy —
-/// see [`SpeculativePricing`] for the contract of each mode.
+/// [`best_move_among_given_current`] evaluated **speculatively** against
+/// the agent's warm distance vector instead of one masked Dijkstra per
+/// candidate.
+///
+/// `warm` must hold the agent's exact distance vector in `network`
+/// (source `agent`, bitwise what a fresh Dijkstra produces — e.g. the
+/// dynamics engine's warm per-agent vector), and `current` the agent's
+/// exact current total cost. Each single-edge candidate is priced by the
+/// speculation-frame lifecycle of `gncg_graph::csr`:
+///
+/// 1. **apply** — open a frame and stage the move's network-level edge
+///    delta on the vector: a dropped sole-owned edge is a logged
+///    Ramalingam–Reps repair over a [`MaskedEdges`] view of `network`
+///    (the graph itself is never mutated), a genuinely new edge is a
+///    logged source-incident relaxation;
+/// 2. **read** — the candidate's distance cost is the warm sum, in the
+///    same index order the oracle sums its Dijkstra vector, and its edge
+///    cost re-accumulates in ascending node-id order, matching
+///    [`candidate_cost`]'s `BTreeSet` iteration bit for bit;
+/// 3. **rollback** — the frame restores the pre-move vector bitwise, so
+///    the next candidate starts from the same warm state.
+///
+/// Degenerate deltas (dropping a co-owned edge, gaining an
+/// already-present one) change no distances and read the current sum
+/// directly. [`Move::Replace`] candidates are not single-edge deltas and
+/// fall back to the oracle's [`candidate_cost`] pricing.
+///
+/// Under [`SpeculativePricing::FullSum`] it returns exactly what
+/// [`best_move_among_given_current`] returns — the same chosen move and
+/// the same cost bits (debug-asserted against the oracle, alongside the
+/// bitwise restoration of `warm`). Under
+/// [`SpeculativePricing::RegionDelta`] the reported cost of the chosen
+/// move is debug-asserted against the oracle's price of that move.
+///
+/// Every move must be *valid for `profile`* in the [`Move::apply`] sense
+/// (deletes and swap-drops name owned edges, adds and swap-gains name
+/// non-owned ones) — the shape [`Move::greedy_moves`] /
+/// [`Move::add_moves`] enumerate. The oracle enforces this with
+/// assertions inside `Move::apply`; this path relies on it (an invalid
+/// move may panic on a missing network edge or price the edge term
+/// differently from a set-based candidate).
+///
+/// `pricing` selects how a candidate's distance cost is read off the
+/// frame (see [`SpeculativePricing`]).
 #[allow(clippy::too_many_arguments)]
-pub fn best_move_among_speculative_priced(
+pub fn best_move_among_speculative(
     game: &Game,
     profile: &Profile,
     network: &AdjacencyList,
@@ -1726,13 +1627,6 @@ fn candidate_edge_sum(game: &Game, agent: NodeId, own: &BTreeSet<NodeId>, m: &Mo
     sum
 }
 
-/// Prices an explicit move without applying it.
-pub fn move_cost(game: &Game, profile: &Profile, agent: NodeId, m: &Move) -> CostBreakdown {
-    let base = base_graph_without(game, profile, agent);
-    let cand = m.apply(agent, profile.strategy(agent));
-    candidate_cost(game, &base, agent, &cand)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1873,18 +1767,6 @@ mod tests {
     }
 
     #[test]
-    fn move_cost_matches_application() {
-        let game = unit_game(5, 2.0);
-        let p = Profile::star(5, 0);
-        let m = Move::Add(2);
-        let predicted = move_cost(&game, &p, 1, &m).total();
-        let mut p2 = p.clone();
-        p2.buy(1, 2);
-        let real = crate::cost::agent_cost(&game, &p2, 1).total();
-        assert!(gncg_graph::approx_eq(predicted, real));
-    }
-
-    #[test]
     fn speculative_scan_matches_oracle_bitwise() {
         // Every greedy move of every agent, across α regimes, with a
         // co-owned edge in play: the speculative scan must return exactly
@@ -1906,7 +1788,14 @@ mod tests {
                     let mut warm = DynamicSssp::new();
                     warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
                     let spec = best_move_among_speculative(
-                        &game, &p, &network, &mut warm, agent, current, &moves,
+                        &game,
+                        &p,
+                        &network,
+                        &mut warm,
+                        agent,
+                        current,
+                        &moves,
+                        SpeculativePricing::FullSum,
                     );
                     let oracle =
                         best_move_among_given_current(&game, &p, &network, agent, current, &moves);
@@ -1938,7 +1827,7 @@ mod tests {
                     let mut warm = DynamicSssp::new();
                     warm.set_weight_class(game.weight_class());
                     warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-                    let rd = best_move_among_speculative_priced(
+                    let rd = best_move_among_speculative(
                         &game,
                         &p,
                         &network,
@@ -1968,7 +1857,7 @@ mod tests {
             let current = agent_cost_in(&game, &p, &network, agent).total();
             let mut warm = DynamicSssp::new();
             warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-            let rd = best_move_among_speculative_priced(
+            let rd = best_move_among_speculative(
                 &game,
                 &p,
                 &network,
@@ -1990,7 +1879,7 @@ mod tests {
         let current = agent_cost_in(&game, &q, &network, 3).total();
         let mut warm = DynamicSssp::new();
         warm.reset_from(3, &gncg_graph::dijkstra::dijkstra(&network, 3));
-        let rd = best_move_among_speculative_priced(
+        let rd = best_move_among_speculative(
             &game,
             &q,
             &network,
@@ -2017,8 +1906,16 @@ mod tests {
             let current = agent_cost_in(&game, &p, &network, agent).total();
             let mut warm = DynamicSssp::new();
             warm.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&network, agent));
-            let spec =
-                best_move_among_speculative(&game, &p, &network, &mut warm, agent, current, &moves);
+            let spec = best_move_among_speculative(
+                &game,
+                &p,
+                &network,
+                &mut warm,
+                agent,
+                current,
+                &moves,
+                SpeculativePricing::FullSum,
+            );
             let oracle = best_move_among_given_current(&game, &p, &network, agent, current, &moves);
             assert_eq!(spec, oracle, "agent {agent}");
         }
@@ -2032,7 +1929,16 @@ mod tests {
         assert!(current.is_infinite());
         let mut warm = DynamicSssp::new();
         warm.reset_from(3, &gncg_graph::dijkstra::dijkstra(&network, 3));
-        let spec = best_move_among_speculative(&game, &q, &network, &mut warm, 3, current, &moves);
+        let spec = best_move_among_speculative(
+            &game,
+            &q,
+            &network,
+            &mut warm,
+            3,
+            current,
+            &moves,
+            SpeculativePricing::FullSum,
+        );
         let oracle = best_move_among_given_current(&game, &q, &network, 3, current, &moves);
         assert_eq!(spec, oracle);
         assert!(spec.is_some(), "connecting must improve on ∞");
@@ -2081,7 +1987,8 @@ mod tests {
         let network = p.build_network(&game);
         for agent in 0..6u32 {
             let a = exact_best_response(&game, &p, agent);
-            let b = exact_best_response_in(&game, &p, &network, agent);
+            let current = agent_cost_in(&game, &p, &network, agent).total();
+            let b = exact_best_response_given_current(&game, &p, &network, agent, current);
             assert_eq!(a.cost, b.cost);
             assert_eq!(a.strategy, b.strategy);
         }

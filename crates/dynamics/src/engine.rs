@@ -43,19 +43,25 @@
 //!   each staged removal is a
 //!   Ramalingam–Reps affected-region repair
 //!   ([`DynamicSssp::remove_edges`], a delta's removals batched into one
-//!   affected-region pass) — so warm vectors now survive moves of
-//!   **every** kind (add, delete, swap), where removals historically
-//!   invalidated all of them. The invalidate-and-redo behavior survives
-//!   as [`RemovalPolicy::Invalidate`], the measured baseline of the
-//!   `dynamics_swap_heavy` bench;
+//!   affected-region pass) — so warm vectors survive moves of
+//!   **every** kind (add, delete, swap);
 //! * the greedy rules' per-activation **candidate-move scan** prices each
 //!   candidate *speculatively against the activated agent's warm vector*
 //!   (apply the move's edge delta inside a speculation frame, read the
-//!   cost off the warm sum, roll back —
-//!   [`best_move_among_speculative_priced`]), instead of the historical masked
-//!   from-scratch Dijkstra per candidate. The masked scan survives as
-//!   [`ScanPolicy::MaskedDijkstra`], the equivalence oracle and measured
-//!   baseline of the `move_scan` bench.
+//!   cost off the warm sum, roll back — [`best_move_among_speculative`]);
+//! * exact-best-response activations search off the agent's persistent
+//!   bound tables ([`BrBoundCache`]), delta-maintained through the same
+//!   committed-delta staging as the warm vectors.
+//!
+//! So every activation takes exactly one path: the speculative scan for
+//! the greedy and add rules, the bound tables for the exact best
+//! response, and in-place repair for removals. The slow ancestors live
+//! on only as checkers and bench baselines, never as a runtime choice:
+//! the masked from-scratch scan
+//! [`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)
+//! and the rebuild-per-activation search
+//! [`exact_best_response_given_current`](gncg_core::response::exact_best_response_given_current),
+//! and a fresh context (one Dijkstra per agent) in place of a repair.
 //!
 //! The context is behaviorally invisible — `debug_assert`s re-derive the
 //! network from the profile and every valid warm vector from a fresh
@@ -70,10 +76,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use gncg_core::response::{
-    best_move_among_given_current, best_move_among_speculative_priced,
-    exact_best_response_given_current, BrBoundCache, SpeculativePricing,
-};
+use gncg_core::response::{best_move_among_speculative, BrBoundCache, SpeculativePricing};
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
 
@@ -270,69 +273,10 @@ impl RegretMeter {
         ctx: &mut EvalContext,
         rule: ResponseRule,
     ) -> f64 {
-        use rayon::prelude::*;
-        ctx.ensure_all_warm();
-        let n = game.n();
-        if rule == ResponseRule::ExactBestResponse && ctx.br_policy == BrCachePolicy::Cached {
-            // BR regrets come off the persistent bound tables: fan out
-            // over the per-agent caches, reading the pre-warmed distance
-            // vectors for current costs.
-            let network = &ctx.network;
-            let log = &ctx.insert_log;
-            let warm = &ctx.warm;
-            self.regrets = ctx.br[..n]
-                .par_chunks_mut(1)
-                .enumerate()
-                .map(|(u, slot)| {
-                    let uid = u as NodeId;
-                    let cache = slot[0].get_or_insert_with(|| Box::new(BrBoundCache::new(uid)));
-                    cache.ensure(game, profile, network, log);
-                    let current = gncg_core::cost::edge_cost(game, profile, uid) + warm[u].sum();
-                    let br = cache.best_response(game, profile, network, current);
-                    if br.improves() {
-                        if br.current_cost.is_infinite() && br.cost.is_finite() {
-                            f64::INFINITY
-                        } else {
-                            br.current_cost - br.cost
-                        }
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            return self.max();
-        }
-        let network = &ctx.network;
-        let speculative = ctx.scan == ScanPolicy::SpeculativeDelta;
-        let pricing = ctx.pricing;
-        self.regrets = ctx.warm[..n]
-            .par_chunks_mut(1)
-            .enumerate()
-            .map(|(u, slot)| {
-                let u = u as NodeId;
-                let warm = &mut slot[0];
-                let current = gncg_core::cost::edge_cost(game, profile, u) + warm.sum();
-                match improving_change(
-                    game,
-                    profile,
-                    network,
-                    speculative.then_some(warm),
-                    None,
-                    u,
-                    rule,
-                    current,
-                    pricing,
-                ) {
-                    Some((_, before, after)) => {
-                        if before.is_infinite() && after.is_finite() {
-                            f64::INFINITY
-                        } else {
-                            before - after
-                        }
-                    }
-                    None => 0.0,
-                }
-            })
+        self.regrets = ctx
+            .pool_changes(game, profile, rule)
+            .iter()
+            .map(|change| change.as_ref().map_or(0.0, gain))
             .collect();
         self.max()
     }
@@ -355,58 +299,14 @@ impl RegretMeter {
 /// before and after it.
 type Change = (std::collections::BTreeSet<NodeId>, f64, f64);
 
-/// How [`EvalContext::apply_delta`] treats warm distance vectors when a
-/// delta removes edges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RemovalPolicy {
-    /// Repair every warm vector in place through the removal
-    /// ([`DynamicSssp::remove_edges`], Ramalingam–Reps affected-region
-    /// re-relaxation, all of a delta's removals in one pass) — the
-    /// default: vectors stay warm through moves of every kind.
-    #[default]
-    DynamicSssp,
-    /// The historical behavior: any removal invalidates every warm vector
-    /// (each is lazily recomputed by a fresh Dijkstra on its owner's next
-    /// activation). Kept as the measured invalidate-and-redo baseline of
-    /// the `dynamics_swap_heavy` bench; results are identical either way.
-    Invalidate,
-}
-
-/// How the per-activation candidate-move scan of the greedy rules prices
-/// each candidate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScanPolicy {
-    /// Price each candidate by speculatively applying its edge delta to
-    /// the activated agent's warm distance vector and rolling it back
-    /// ([`best_move_among_speculative_priced`]) — the default. Chosen moves and
-    /// totals are bit-identical to the masked baseline.
-    #[default]
-    SpeculativeDelta,
-    /// The historical scan: one masked from-scratch Dijkstra per
-    /// candidate ([`best_move_among_given_current`]). Kept as the
-    /// equivalence oracle and the measured baseline of the `move_scan`
-    /// bench.
-    MaskedDijkstra,
-}
-
-/// How [`ResponseRule::ExactBestResponse`] activations price the exact
-/// best response.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BrCachePolicy {
-    /// Persistent per-agent bound tables ([`BrBoundCache`]) that survive
-    /// from activation to activation, delta-maintained through the same
-    /// committed-delta staging that keeps the warm vectors alive — the
-    /// default. Chosen best responses and their costs are bit-identical
-    /// to the rebuild baseline (machine-checked per search under
-    /// `debug_assertions`), so the policy is invisible in every byte
-    /// stream and does not participate in scenario digests.
-    #[default]
-    Cached,
-    /// The historical path: rebuild the full `BrSearch` state — a CSR
-    /// snapshot plus `n` Dijkstras for the bound table — on every
-    /// activation. Kept as the equivalence oracle and the measured
-    /// baseline of the `br_grid` bench.
-    Rebuild,
+/// The cost improvement a change realizes: `f64::INFINITY` when it first
+/// makes the agent's cost finite.
+fn gain(&(_, before, after): &Change) -> f64 {
+    if before.is_infinite() && after.is_finite() {
+        f64::INFINITY
+    } else {
+        before - after
+    }
 }
 
 /// The built network `G(s)` plus per-agent warm distance vectors, cached
@@ -437,11 +337,6 @@ pub struct EvalContext {
     /// Reusable actually-removed buffer for [`EvalContext::apply_delta`]'s
     /// batched warm-vector repair.
     removed_buf: Vec<(NodeId, NodeId, f64)>,
-    /// Warm-vector treatment on removals (survives [`EvalContext::reset`]).
-    policy: RemovalPolicy,
-    /// Candidate-move pricing of the greedy scan (survives
-    /// [`EvalContext::reset`]).
-    scan: ScanPolicy,
     /// How the speculative scan reads candidate distance costs
     /// ([`SpeculativePricing`]; survives [`EvalContext::reset`]).
     pricing: SpeculativePricing,
@@ -451,14 +346,12 @@ pub struct EvalContext {
     weight_class: Option<(f64, f64)>,
     /// Per-agent persistent branch-and-bound bound tables for
     /// [`ResponseRule::ExactBestResponse`] ([`BrBoundCache`]); built
-    /// lazily on an agent's first BR activation under
-    /// [`BrCachePolicy::Cached`], invalidated on [`EvalContext::reset`]
-    /// and raw [`EvalContext::apply_delta`] calls, and delta-maintained
-    /// through [`EvalContext::apply_strategy_change`] otherwise. Boxed:
+    /// lazily on an agent's first BR activation, invalidated on
+    /// [`EvalContext::reset`] and raw [`EvalContext::apply_delta`] calls,
+    /// and delta-maintained through
+    /// [`EvalContext::apply_strategy_change`] otherwise. Boxed:
     /// the tables are `Θ(n²)` floats, absent entirely for non-BR runs.
     br: Vec<Option<Box<BrBoundCache>>>,
-    /// BR pricing policy (survives [`EvalContext::reset`]).
-    br_policy: BrCachePolicy,
 }
 
 impl EvalContext {
@@ -508,30 +401,6 @@ impl EvalContext {
         &self.network
     }
 
-    /// Sets the warm-vector removal policy (see [`RemovalPolicy`]).
-    /// Benchmarks use this to measure the invalidate-and-redo baseline;
-    /// production callers keep the default.
-    pub fn set_removal_policy(&mut self, policy: RemovalPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active removal policy.
-    pub fn removal_policy(&self) -> RemovalPolicy {
-        self.policy
-    }
-
-    /// Sets the candidate-move scan policy (see [`ScanPolicy`]).
-    /// Benchmarks use this to measure the masked-Dijkstra baseline;
-    /// production callers keep the default.
-    pub fn set_scan_policy(&mut self, scan: ScanPolicy) {
-        self.scan = scan;
-    }
-
-    /// The active scan policy.
-    pub fn scan_policy(&self) -> ScanPolicy {
-        self.scan
-    }
-
     /// Sets the speculative scan's candidate pricing policy (see
     /// [`SpeculativePricing`]). [`SpeculativePricing::RegionDelta`] is a
     /// distinct deterministic policy — sub-ulp ties may resolve
@@ -542,28 +411,10 @@ impl EvalContext {
         self.pricing = pricing;
     }
 
-    /// The active candidate pricing policy.
-    pub fn pricing(&self) -> SpeculativePricing {
-        self.pricing
-    }
-
-    /// Sets the exact-best-response pricing policy (see
-    /// [`BrCachePolicy`]). Benchmarks and equivalence tests use this to
-    /// measure the rebuild-every-activation baseline; production callers
-    /// keep the default. Bitwise invisible either way.
-    pub fn set_br_policy(&mut self, policy: BrCachePolicy) {
-        self.br_policy = policy;
-    }
-
-    /// The active exact-best-response pricing policy.
-    pub fn br_policy(&self) -> BrCachePolicy {
-        self.br_policy
-    }
-
     /// Agent `u`'s persistent BR bound tables, when they exist — an
     /// observability read (tests assert the staleness bookkeeping, the
     /// service reports resident bytes). `None` until `u`'s first BR
-    /// activation under [`BrCachePolicy::Cached`].
+    /// activation.
     pub fn br_cache(&self, u: NodeId) -> Option<&BrBoundCache> {
         self.br.get(u as usize).and_then(|slot| slot.as_deref())
     }
@@ -593,49 +444,72 @@ impl EvalContext {
             + self.synced.capacity() * std::mem::size_of::<usize>()
     }
 
-    /// The cached network together with agent `u`'s warm distance vector
-    /// (the split borrow the speculative move scan works on) plus `u`'s
-    /// BR bound cache when `want_br` — the three-way split borrow of the
-    /// activation path. Requires a prior [`EvalContext::ensure_warm`] for
-    /// `u`; with `want_br`, a prior [`EvalContext::ensure_br`] too.
-    fn network_warm_br(
+    /// Agent `u`'s improving change under `rule`, if any: warms `u`'s
+    /// distance vector, then prices through [`agent_change`].
+    fn improving_change(
         &mut self,
+        game: &Game,
+        profile: &Profile,
         u: NodeId,
-        want_br: bool,
-    ) -> (&AdjacencyList, &mut DynamicSssp, Option<&mut BrBoundCache>) {
-        debug_assert!(
-            self.valid[u as usize] && self.synced[u as usize] == self.insert_log.len(),
-            "network_warm_br on a cold or unsynced vector"
-        );
-        let br = if want_br {
-            let cache = self.br[u as usize].as_deref_mut();
-            debug_assert!(
-                cache.as_ref().is_some_and(|c| c.is_built()),
-                "network_warm_br(want_br) without a prior ensure_br"
-            );
-            cache
-        } else {
-            None
-        };
-        (&self.network, &mut self.warm[u as usize], br)
+        rule: ResponseRule,
+    ) -> Option<Change> {
+        self.ensure_warm(u);
+        let i = u as usize;
+        agent_change(
+            game,
+            profile,
+            &self.network,
+            &self.insert_log,
+            &mut self.warm[i],
+            &mut self.br[i],
+            u,
+            rule,
+            self.pricing,
+        )
     }
 
-    /// Makes agent `u`'s persistent BR bound tables current for the live
-    /// network: a full rebuild when unbuilt (first BR activation this
-    /// run) or past the staleness budget, otherwise one lazy replay of
-    /// the pending committed-insert suffix ([`BrBoundCache::ensure`]).
-    pub fn ensure_br(&mut self, game: &Game, profile: &Profile, u: NodeId) {
-        let cache = self.br[u as usize].get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
-        cache.ensure(game, profile, &self.network, &self.insert_log);
+    /// Every agent's improving change under `rule`, in agent order — the
+    /// one pool pass behind [`Scheduler::MaxGain`] and the
+    /// [`RegretMeter`]. All vectors are warmed first (itself
+    /// pool-parallel); then each worker owns exactly its agent's warm
+    /// vector and BR tables, so the pass is bitwise deterministic at
+    /// every thread count.
+    fn pool_changes(
+        &mut self,
+        game: &Game,
+        profile: &Profile,
+        rule: ResponseRule,
+    ) -> Vec<Option<Change>> {
+        use rayon::prelude::*;
+        self.ensure_all_warm();
+        let n = game.n();
+        let (network, log, pricing) = (&self.network, &self.insert_log, self.pricing);
+        let mut slots: Vec<_> = self.warm[..n].iter_mut().zip(&mut self.br[..n]).collect();
+        slots
+            .par_chunks_mut(1)
+            .enumerate()
+            .map(|(u, slot)| {
+                let (warm, br) = &mut slot[0];
+                agent_change(
+                    game,
+                    profile,
+                    network,
+                    log,
+                    warm,
+                    br,
+                    u as NodeId,
+                    rule,
+                    pricing,
+                )
+            })
+            .collect()
     }
 
     /// Makes agent `u`'s warm distance vector current: a fresh Dijkstra
-    /// when it was never computed this run (or, under
-    /// [`RemovalPolicy::Invalidate`], invalidated by an edge-removing
-    /// move), otherwise one batched replay of whatever committed edge
-    /// insertions landed since the vector was last read
-    /// ([`DynamicSssp::relax_inserts`] over the pending `insert_log`
-    /// suffix).
+    /// when it was never computed this run, otherwise one batched replay
+    /// of whatever committed edge insertions landed since the vector was
+    /// last read ([`DynamicSssp::relax_inserts`] over the pending
+    /// `insert_log` suffix).
     pub fn ensure_warm(&mut self, u: NodeId) {
         let i = u as usize;
         if !self.valid[i] {
@@ -729,8 +603,7 @@ impl EvalContext {
     ///
     /// Warm vectors survive changes of **every** kind: insertions are
     /// logged for batched lazy replay on each vector's next read,
-    /// removals repair in place (see [`RemovalPolicy`] and
-    /// [`EvalContext::apply_delta`]).
+    /// removals repair in place (see [`EvalContext::apply_delta`]).
     pub fn apply_strategy_change(
         &mut self,
         game: &Game,
@@ -853,9 +726,7 @@ impl EvalContext {
     /// Every valid vector is first synced to the pre-removal network —
     /// the exactness contract of [`DynamicSssp::remove_edges`] — then the
     /// edges leave the network and each vector takes one batched
-    /// affected-region repair. Under [`RemovalPolicy::Invalidate`]
-    /// removals instead flag every vector for lazy recomputation (the
-    /// historical baseline).
+    /// affected-region repair.
     ///
     /// Degenerate changes follow [`NetworkDelta::apply_to`]'s semantics
     /// exactly: removing an absent edge and re-inserting a present one
@@ -880,7 +751,7 @@ impl EvalContext {
             .removes()
             .iter()
             .any(|&(a, b, _)| self.network.has_edge(a, b));
-        if will_remove && self.policy == RemovalPolicy::DynamicSssp {
+        if will_remove {
             // Bring every valid vector up to the pre-removal network:
             // remove_edges requires the vector to be exact for the graph
             // the edge is leaving, and pending inserts replay against a
@@ -906,14 +777,9 @@ impl EvalContext {
             }
         }
         if !removed.is_empty() {
-            match self.policy {
-                RemovalPolicy::Invalidate => self.valid.fill(false),
-                RemovalPolicy::DynamicSssp => {
-                    for (inc, &valid) in self.warm.iter_mut().zip(self.valid.iter()) {
-                        if valid {
-                            inc.remove_edges(&self.network, &removed);
-                        }
-                    }
+            for (inc, &valid) in self.warm.iter_mut().zip(self.valid.iter()) {
+                if valid {
+                    inc.remove_edges(&self.network, &removed);
                 }
             }
         }
@@ -1012,43 +878,15 @@ impl Engine {
                     v.shuffle(rng.as_mut().expect("rng set for RandomOrder"));
                     v.into_iter().map(|u| (u, None)).collect()
                 }
-                Scheduler::MaxGain => {
-                    // The parallel scan works on disjoint warm vectors
-                    // (one per agent): warm every vector up front (itself
-                    // pool-parallel).
-                    self.ctx.ensure_all_warm();
-                    match max_gain_change(game, &profile, &mut self.ctx, cfg.rule) {
-                        Some((u, change)) => vec![(u, Some(change))],
-                        None => Vec::new(),
-                    }
-                }
+                Scheduler::MaxGain => max_gain_change(game, &profile, &mut self.ctx, cfg.rule)
+                    .map(|(u, change)| (u, Some(change)))
+                    .into_iter()
+                    .collect(),
             };
             for (u, precomputed) in scheduled {
                 let change = match precomputed {
                     Some(c) => Some(c),
-                    None => {
-                        self.ctx.ensure_warm(u);
-                        let current = self.ctx.current_cost(game, &profile, u);
-                        let speculative = self.ctx.scan_policy() == ScanPolicy::SpeculativeDelta;
-                        let pricing = self.ctx.pricing();
-                        let use_br = cfg.rule == ResponseRule::ExactBestResponse
-                            && self.ctx.br_policy() == BrCachePolicy::Cached;
-                        if use_br {
-                            self.ctx.ensure_br(game, &profile, u);
-                        }
-                        let (network, warm, br) = self.ctx.network_warm_br(u, use_br);
-                        improving_change(
-                            game,
-                            &profile,
-                            network,
-                            speculative.then_some(warm),
-                            br,
-                            u,
-                            cfg.rule,
-                            current,
-                            pricing,
-                        )
-                    }
+                    None => self.ctx.improving_change(game, &profile, u, cfg.rule),
                 };
                 if let Some((new_strategy, before, after)) = change {
                     let old = profile.strategy(u).clone();
@@ -1132,63 +970,50 @@ pub fn run(game: &Game, start: Profile, cfg: &DynamicsConfig) -> RunResult {
 }
 
 /// The improving change of `u` under `rule`, with costs before/after,
-/// evaluated against the cached `network`. `current` is `u`'s current
-/// total cost (read off its warm vector by the caller).
+/// priced against the cached `network` — the one per-agent evaluation of
+/// the engine. `warm` must be `u`'s current distance vector; `u`'s
+/// current cost is read off it.
 ///
-/// This is the **unified move scan**: the greedy rules price their
-/// candidate moves speculatively against `warm` when it is supplied
-/// ([`ScanPolicy::SpeculativeDelta`] — the warm vector is borrowed
+/// The greedy rules price their candidate moves speculatively against
+/// `warm` ([`best_move_among_speculative`]: the vector is borrowed
 /// mutably for apply → read → rollback and comes back bitwise
-/// untouched), and fall back to the masked-Dijkstra oracle when it is
-/// not ([`ScanPolicy::MaskedDijkstra`]). Both paths choose the same move
-/// at the same cost bits. The exact-best-response rule has its own
-/// incremental engine and ignores `warm`: it searches off `u`'s
-/// persistent bound tables when `br` is supplied
-/// ([`BrCachePolicy::Cached`], tables kept current by the caller), and
-/// rebuilds the full search state when it is not
-/// ([`BrCachePolicy::Rebuild`]) — bitwise-identical responses either way.
+/// untouched). The exact-best-response rule searches off `u`'s
+/// persistent bound tables in `br`, built on first use and brought
+/// current through the pending `insert_log` suffix
+/// ([`BrBoundCache::ensure`]).
 #[allow(clippy::too_many_arguments)]
-fn improving_change(
+fn agent_change(
     game: &Game,
     profile: &Profile,
     network: &AdjacencyList,
-    warm: Option<&mut DynamicSssp>,
-    br: Option<&mut BrBoundCache>,
+    insert_log: &[(NodeId, NodeId, f64)],
+    warm: &mut DynamicSssp,
+    br: &mut Option<Box<BrBoundCache>>,
     u: NodeId,
     rule: ResponseRule,
-    current: f64,
     pricing: SpeculativePricing,
 ) -> Option<Change> {
+    let current = gncg_core::cost::edge_cost(game, profile, u) + warm.sum();
     let moves = match rule {
         ResponseRule::ExactBestResponse => {
-            let br = match br {
-                Some(cache) => {
-                    debug_assert_eq!(cache.agent(), u, "BR cache routed to the wrong agent");
-                    cache.best_response(game, profile, network, current)
-                }
-                None => exact_best_response_given_current(game, profile, network, u, current),
-            };
-            return if br.improves() {
-                Some((br.strategy, br.current_cost, br.cost))
-            } else {
-                None
-            };
+            let cache = br.get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
+            debug_assert_eq!(cache.agent(), u, "BR cache routed to the wrong agent");
+            cache.ensure(game, profile, network, insert_log);
+            let br = cache.best_response(game, profile, network, current);
+            return br
+                .improves()
+                .then_some((br.strategy, br.current_cost, br.cost));
         }
         ResponseRule::BestGreedyMove => Move::greedy_moves(profile, u),
         ResponseRule::AddOnly => Move::add_moves(profile, u),
     };
-    match warm {
-        Some(warm) => best_move_among_speculative_priced(
-            game, profile, network, warm, u, current, &moves, pricing,
-        ),
-        None => best_move_among_given_current(game, profile, network, u, current, &moves),
-    }
-    .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
+    best_move_among_speculative(game, profile, network, warm, u, current, &moves, pricing)
+        .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
 }
 
 /// Whether agent `u` has **no** improving change under `rule`, evaluated
-/// incrementally against `ctx`'s cached network and warm distance vectors
-/// (the same `*_given_current` entry points the run loop itself uses).
+/// incrementally against `ctx`'s cached network, warm distance vectors
+/// and BR bound tables (the same evaluation the run loop itself uses).
 /// `ctx` must describe `profile`'s network — e.g. the context of the
 /// [`Engine`] that just produced `profile`, via [`Engine::context_mut`] —
 /// so certification costs one warm-vector read plus one deviation scan
@@ -1200,152 +1025,34 @@ pub fn agent_is_stable_given_current(
     u: NodeId,
     rule: ResponseRule,
 ) -> bool {
-    ctx.ensure_warm(u);
-    let current = ctx.current_cost(game, profile, u);
-    let speculative = ctx.scan_policy() == ScanPolicy::SpeculativeDelta;
-    let pricing = ctx.pricing();
-    let use_br =
-        rule == ResponseRule::ExactBestResponse && ctx.br_policy() == BrCachePolicy::Cached;
-    if use_br {
-        ctx.ensure_br(game, profile, u);
-    }
-    let (network, warm, br) = ctx.network_warm_br(u, use_br);
-    improving_change(
-        game,
-        profile,
-        network,
-        speculative.then_some(warm),
-        br,
-        u,
-        rule,
-        current,
-        pricing,
-    )
-    .is_none()
+    ctx.improving_change(game, profile, u, rule).is_none()
 }
 
 /// The agent with the largest improvement under `rule` together with the
-/// improving change itself, so the caller never recomputes it. The scan
-/// over agents fans out on the rayon pool, each worker borrowing exactly
-/// its agent's (pre-warmed) distance vector mutably for the speculative
-/// apply → read → rollback cycle; the reduction is deterministic (max
-/// gain, ties to the smaller agent id), so the schedule matches the
-/// sequential scan exactly.
+/// improving change itself, so the caller never recomputes it. The
+/// changes come from the pool pass [`EvalContext::pool_changes`]; the
+/// winner is taken by a sequential fold in agent order — strictly greater
+/// gain wins, so ties go to the smaller agent id.
 fn max_gain_change(
     game: &Game,
     profile: &Profile,
     ctx: &mut EvalContext,
     rule: ResponseRule,
 ) -> Option<(NodeId, Change)> {
-    use rayon::prelude::*;
-    let n = game.n();
-    debug_assert!(
-        ctx.valid[..n].iter().all(|&v| v)
-            && ctx.synced[..n].iter().all(|&s| s == ctx.insert_log.len()),
-        "max_gain_change requires a prior ensure_all_warm"
-    );
-    if rule == ResponseRule::ExactBestResponse && ctx.br_policy == BrCachePolicy::Cached {
-        return max_gain_change_br(game, profile, ctx);
-    }
-    let network = &ctx.network;
-    let speculative = ctx.scan == ScanPolicy::SpeculativeDelta;
-    let pricing = ctx.pricing;
-    let winner = ctx.warm[..n]
-        .par_chunks_mut(1)
+    let mut best: Option<(NodeId, f64, Change)> = None;
+    for (u, change) in ctx
+        .pool_changes(game, profile, rule)
+        .into_iter()
         .enumerate()
-        .filter_map(|(u, slot)| {
-            let u = u as NodeId;
-            let warm = &mut slot[0];
-            let current = gncg_core::cost::edge_cost(game, profile, u) + warm.sum();
-            improving_change(
-                game,
-                profile,
-                network,
-                speculative.then_some(warm),
-                None,
-                u,
-                rule,
-                current,
-                pricing,
-            )
-            .map(|(s, before, after)| {
-                let gain = if before.is_infinite() && after.is_finite() {
-                    f64::INFINITY
-                } else {
-                    before - after
-                };
-                (u, gain, (s, before, after))
-            })
-        })
-        .reduce(
-            // Sentinel: no agent improves. NodeId::MAX never collides with
-            // a real agent (n is far below 2^32).
-            || (NodeId::MAX, f64::NEG_INFINITY, Default::default()),
-            |a, b| {
-                // Strictly-greater keeps the earlier (smaller-id) agent on
-                // ties, matching the historical sequential scan.
-                if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-                    b
-                } else {
-                    a
-                }
-            },
-        );
-    if winner.0 == NodeId::MAX {
-        None
-    } else {
-        Some((winner.0, winner.2))
+    {
+        if let Some(change) = change {
+            let g = gain(&change);
+            if best.as_ref().is_none_or(|b| g > b.1) {
+                best = Some((u as NodeId, g, change));
+            }
+        }
     }
-}
-
-/// [`max_gain_change`] for BR rule under [`BrCachePolicy::Cached`]: the
-/// parallel scan fans out over the per-agent *bound caches* instead of
-/// the warm vectors (each worker ensures and searches exactly its agent's
-/// tables; the pre-warmed distance vectors are only read), with the same
-/// deterministic reduction — max gain, ties to the smaller agent id.
-fn max_gain_change_br(
-    game: &Game,
-    profile: &Profile,
-    ctx: &mut EvalContext,
-) -> Option<(NodeId, Change)> {
-    use rayon::prelude::*;
-    let n = game.n();
-    let network = &ctx.network;
-    let log = &ctx.insert_log;
-    let warm = &ctx.warm;
-    let winner = ctx.br[..n]
-        .par_chunks_mut(1)
-        .enumerate()
-        .filter_map(|(u, slot)| {
-            let uid = u as NodeId;
-            let cache = slot[0].get_or_insert_with(|| Box::new(BrBoundCache::new(uid)));
-            cache.ensure(game, profile, network, log);
-            let current = gncg_core::cost::edge_cost(game, profile, uid) + warm[u].sum();
-            let br = cache.best_response(game, profile, network, current);
-            br.improves().then(|| {
-                let gain = if br.current_cost.is_infinite() && br.cost.is_finite() {
-                    f64::INFINITY
-                } else {
-                    br.current_cost - br.cost
-                };
-                (uid, gain, (br.strategy, br.current_cost, br.cost))
-            })
-        })
-        .reduce(
-            || (NodeId::MAX, f64::NEG_INFINITY, Default::default()),
-            |a, b| {
-                if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-                    b
-                } else {
-                    a
-                }
-            },
-        );
-    if winner.0 == NodeId::MAX {
-        None
-    } else {
-        Some((winner.0, winner.2))
-    }
+    best.map(|(u, _, change)| (u, change))
 }
 
 #[cfg(test)]
@@ -1546,30 +1253,27 @@ mod tests {
 
     #[test]
     fn removal_keeps_vectors_exact_under_both_policies() {
-        for policy in [RemovalPolicy::DynamicSssp, RemovalPolicy::Invalidate] {
-            let game = unit_game(5, 2.0);
-            let mut p = Profile::star(5, 0);
-            let mut ctx = EvalContext::new(&game, &p);
-            ctx.set_removal_policy(policy);
-            for u in 0..5u32 {
+        // The two ways to survive a removal: repair every warm vector in
+        // place, or start a fresh context on the new profile (one
+        // Dijkstra per agent). Both must match a from-scratch evaluation
+        // bitwise.
+        let game = unit_game(5, 2.0);
+        let mut p = Profile::star(5, 0);
+        let mut repaired = EvalContext::new(&game, &p);
+        for u in 0..5u32 {
+            repaired.ensure_warm(u);
+        }
+        // Agent 0 drops (0,1), buys nothing new for 1 — a removal.
+        let old = p.strategy(0).clone();
+        p.set_strategy(0, [2, 3, 4].into_iter().collect());
+        repaired.apply_strategy_change(&game, &p, 0, &old);
+        let mut fresh = EvalContext::new(&game, &p);
+        let network = p.build_network(&game);
+        for u in 0..5u32 {
+            let expected = gncg_core::cost::agent_cost_in(&game, &p, &network, u).total();
+            for (name, ctx) in [("repaired", &mut repaired), ("fresh", &mut fresh)] {
                 ctx.ensure_warm(u);
-            }
-            // Agent 0 drops (0,1), buys nothing new for 1 — a removal.
-            let old = p.strategy(0).clone();
-            p.set_strategy(0, [2, 3, 4].into_iter().collect());
-            ctx.apply_strategy_change(&game, &p, 0, &old);
-            // Dynamic: vectors were repaired in place. Invalidate: they
-            // were flagged and ensure_warm recomputes. Either way the
-            // costs must match a from-scratch evaluation bitwise.
-            let network = p.build_network(&game);
-            for u in 0..5u32 {
-                ctx.ensure_warm(u);
-                let expected = gncg_core::cost::agent_cost_in(&game, &p, &network, u).total();
-                assert_eq!(
-                    ctx.current_cost(&game, &p, u),
-                    expected,
-                    "agent {u} under {policy:?}"
-                );
+                assert_eq!(ctx.current_cost(&game, &p, u), expected, "agent {u} {name}");
             }
         }
     }
@@ -1599,83 +1303,27 @@ mod tests {
     }
 
     #[test]
-    fn swap_heavy_run_matches_across_policies() {
-        // High-α greedy dynamics (swap/delete-heavy rounds): the dynamic
-        // removal policy must reproduce the invalidate-and-redo baseline
-        // move for move and bit for bit.
-        for seed in 0..3u64 {
-            let host = gncg_metrics::arbitrary::random_metric(9, 1.0, 4.0, seed);
-            let game = Game::new(host, 6.0);
-            let cfg = DynamicsConfig {
-                max_rounds: 400,
-                ..Default::default()
-            };
-            let mut baseline = Engine::new();
-            baseline
-                .context_mut()
-                .set_removal_policy(RemovalPolicy::Invalidate);
-            let a = baseline.run(&game, Profile::star(9, 0), &cfg);
-            let b = Engine::new().run(&game, Profile::star(9, 0), &cfg);
-            assert_eq!(a.profile, b.profile, "seed {seed}");
-            assert_eq!(a.moves, b.moves);
-            assert_eq!(a.outcome, b.outcome);
-        }
-    }
-
-    #[test]
-    fn scan_policies_agree_move_for_move() {
-        // Full runs under the speculative scan must reproduce the
-        // masked-Dijkstra baseline bit for bit — profile, move count,
-        // outcome — across rules, schedulers, and α regimes. (Each
-        // speculative activation is additionally oracle-checked by a
-        // debug assertion inside best_move_among_speculative.)
-        for seed in 0..3u64 {
-            let host = gncg_metrics::arbitrary::random_metric(9, 1.0, 4.0, seed);
-            for alpha in [0.4, 1.5, 6.0] {
-                let game = Game::new(host.clone(), alpha);
-                for rule in [ResponseRule::BestGreedyMove, ResponseRule::AddOnly] {
-                    for scheduler in [
-                        Scheduler::RoundRobin,
-                        Scheduler::MaxGain,
-                        Scheduler::RandomOrder { seed: 7 },
-                    ] {
-                        let cfg = DynamicsConfig {
-                            rule,
-                            scheduler,
-                            max_rounds: 400,
-                            ..Default::default()
-                        };
-                        let mut masked = Engine::new();
-                        masked
-                            .context_mut()
-                            .set_scan_policy(ScanPolicy::MaskedDijkstra);
-                        let a = masked.run(&game, Profile::star(9, 0), &cfg);
-                        let b = Engine::new().run(&game, Profile::star(9, 0), &cfg);
-                        assert_eq!(
-                            a.profile, b.profile,
-                            "seed {seed} α {alpha} {rule:?} {scheduler:?}"
-                        );
-                        assert_eq!(a.moves, b.moves);
-                        assert_eq!(a.outcome, b.outcome);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn stability_check_agrees_across_scan_policies() {
+        // The engine's speculative scan and the masked from-scratch scan
+        // must give the same verdict for every agent.
         let host = gncg_metrics::arbitrary::random_metric(7, 1.0, 3.0, 33);
         let game = Game::new(host, 1.8);
         let probe = Profile::star(7, 2);
+        let network = probe.build_network(&game);
         for rule in [ResponseRule::BestGreedyMove, ResponseRule::AddOnly] {
-            let mut spec_ctx = EvalContext::new(&game, &probe);
-            let mut masked_ctx = EvalContext::new(&game, &probe);
-            masked_ctx.set_scan_policy(ScanPolicy::MaskedDijkstra);
+            let mut ctx = EvalContext::new(&game, &probe);
             for u in 0..7u32 {
+                let moves = match rule {
+                    ResponseRule::AddOnly => Move::add_moves(&probe, u),
+                    _ => Move::greedy_moves(&probe, u),
+                };
+                let current = gncg_core::cost::agent_cost_in(&game, &probe, &network, u).total();
+                let masked = gncg_core::response::best_move_among_given_current(
+                    &game, &probe, &network, u, current, &moves,
+                );
                 assert_eq!(
-                    agent_is_stable_given_current(&game, &probe, &mut spec_ctx, u, rule),
-                    agent_is_stable_given_current(&game, &probe, &mut masked_ctx, u, rule),
+                    agent_is_stable_given_current(&game, &probe, &mut ctx, u, rule),
+                    masked.is_none(),
                     "agent {u} {rule:?}"
                 );
             }

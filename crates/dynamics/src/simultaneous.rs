@@ -10,8 +10,9 @@
 
 use std::collections::BTreeSet;
 
-use gncg_core::response::{best_greedy_move_in, exact_best_response_in};
-use gncg_core::{Game, NodeId, Profile};
+use gncg_core::cost::agent_cost_in;
+use gncg_core::response::{best_move_among_given_current, exact_best_response_given_current};
+use gncg_core::{Game, Move, NodeId, Profile};
 
 use crate::cycle::{CycleDetector, Recurrence};
 use crate::engine::ResponseRule;
@@ -64,25 +65,23 @@ pub fn run_simultaneous(
         let network = profile.build_network(game);
         let mut changes: Vec<(NodeId, BTreeSet<NodeId>)> = Vec::new();
         for u in 0..n as NodeId {
-            match rule {
+            let current = agent_cost_in(game, &profile, &network, u).total();
+            let moves = match rule {
                 ResponseRule::ExactBestResponse => {
-                    let br = exact_best_response_in(game, &profile, &network, u);
+                    let br =
+                        exact_best_response_given_current(game, &profile, &network, u, current);
                     if br.improves() {
                         changes.push((u, br.strategy));
                     }
+                    continue;
                 }
-                ResponseRule::BestGreedyMove => {
-                    if let Some((m, _)) = best_greedy_move_in(game, &profile, &network, u) {
-                        changes.push((u, m.apply(u, profile.strategy(u))));
-                    }
-                }
-                ResponseRule::AddOnly => {
-                    if let Some((m, _)) =
-                        gncg_core::response::best_add_move_in(game, &profile, &network, u)
-                    {
-                        changes.push((u, m.apply(u, profile.strategy(u))));
-                    }
-                }
+                ResponseRule::BestGreedyMove => Move::greedy_moves(&profile, u),
+                ResponseRule::AddOnly => Move::add_moves(&profile, u),
+            };
+            if let Some((m, _)) =
+                best_move_among_given_current(game, &profile, &network, u, current, &moves)
+            {
+                changes.push((u, m.apply(u, profile.strategy(u))));
             }
         }
         if changes.is_empty() {

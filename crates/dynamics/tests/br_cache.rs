@@ -1,6 +1,6 @@
-//! Equivalence of the persistent BR bound tables ([`BrBoundCache`],
-//! `BrCachePolicy::Cached`) with rebuild-every-activation pricing
-//! (`BrCachePolicy::Rebuild`).
+//! Equivalence of the persistent BR bound tables (`BrBoundCache`) with
+//! a from-scratch exact best response (`exact_best_response`, which
+//! rebuilds the network and the whole search state on every call).
 //!
 //! The cached tables are delta-maintained through arbitrary interleaved
 //! insert / remove / swap strategy changes, and past the staleness budget
@@ -13,14 +13,17 @@
 //! active in these test builds — each probe below therefore also runs
 //! the full per-node admissibility check.
 
+mod common;
+
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
+use common::{assert_same_run, reference_run};
+use gncg_core::response::exact_best_response;
 use gncg_core::{Game, NodeId, Profile};
 use gncg_dynamics::engine::{
-    agent_is_stable_given_current, BrCachePolicy, DynamicsConfig, Engine, EvalContext,
-    ResponseRule, Scheduler,
+    agent_is_stable_given_current, DynamicsConfig, Engine, EvalContext, ResponseRule, Scheduler,
 };
 use gncg_dynamics::BR_STALENESS_BUDGET;
 
@@ -70,6 +73,11 @@ fn decode_strategy(a: NodeId, mask: u32, n: usize) -> BTreeSet<NodeId> {
         .collect()
 }
 
+/// Whether `u` is stable under a from-scratch exact best response.
+fn stable_from_scratch(g: &Game, profile: &Profile, u: NodeId) -> bool {
+    !exact_best_response(g, profile, u).improves()
+}
+
 /// Applies one script step to `profile` + `ctx` the way the run loop
 /// commits moves: profile first, then the context delta.
 fn commit(
@@ -87,12 +95,12 @@ fn commit(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Cached-bound BR ≡ fresh-rebuild BR across all nine factory hosts
+    /// Cached-bound BR ≡ from-scratch BR across all nine factory hosts
     /// under random interleaved insert/remove/swap deltas. Stability
-    /// verdicts must agree step for step between a `Cached` and a
-    /// `Rebuild` context evolved through the identical move sequence
-    /// (and every cached probe self-checks bitwise against a fresh
-    /// `BrSearch` via the debug oracle).
+    /// verdicts of a context evolved through the move sequence must agree
+    /// step for step with a from-scratch best response on the same
+    /// profile (and every cached probe self-checks bitwise against a
+    /// fresh `BrSearch` via the debug oracle).
     #[test]
     fn cached_br_matches_rebuild_under_interleaved_deltas(
         g in factory_game(8),
@@ -102,31 +110,26 @@ proptest! {
         let n = 8usize;
         let mut profile = p0;
         let mut cached = EvalContext::new(&g, &profile);
-        prop_assert_eq!(cached.br_policy(), BrCachePolicy::Cached);
-        let mut rebuild = EvalContext::new(&g, &profile);
-        rebuild.set_br_policy(BrCachePolicy::Rebuild);
         for &(a, mask, probe) in &steps {
             let s = decode_strategy(a, mask, n);
-            let old = profile.strategy(a).clone();
-            profile.set_strategy(a, s);
-            cached.apply_strategy_change(&g, &profile, a, &old);
-            rebuild.apply_strategy_change(&g, &profile, a, &old);
-            let want = agent_is_stable_given_current(&g, &profile, &mut rebuild, probe, RULE);
+            commit(&g, &mut profile, &mut cached, a, s);
+            let want = stable_from_scratch(&g, &profile, probe);
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, probe, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged", probe);
         }
         // Final sweep: every agent's verdict agrees (every cache that was
         // built replays its whole pending history here).
         for u in 0..n as NodeId {
-            let want = agent_is_stable_given_current(&g, &profile, &mut rebuild, u, RULE);
+            let want = stable_from_scratch(&g, &profile, u);
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, u, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged in final sweep", u);
         }
     }
 
-    /// Full BR-rule dynamics runs are bitwise identical under both
-    /// policies: same final profile, same outcome, same move count, for
-    /// every scheduler.
+    /// Full BR-rule dynamics runs off the cached tables are bitwise
+    /// identical to the from-scratch reference run (rebuild-every-
+    /// activation pricing): same final profile, outcome, move count,
+    /// trace and regret series, for every scheduler.
     #[test]
     fn br_dynamics_identical_under_both_policies(
         g in factory_game(7),
@@ -142,25 +145,13 @@ proptest! {
             rule: RULE,
             scheduler,
             max_rounds: 40,
+            record_trace: true,
             regret_meter: true,
             ..Default::default()
         };
-        let mut cached_engine = Engine::new();
-        let cached = cached_engine.run(&g, p0.clone(), &cfg);
-        let mut rebuild_engine = Engine::new();
-        rebuild_engine.context_mut().set_br_policy(BrCachePolicy::Rebuild);
-        let rebuild = rebuild_engine.run(&g, p0, &cfg);
-        prop_assert_eq!(cached.outcome, rebuild.outcome);
-        prop_assert_eq!(cached.rounds, rebuild.rounds);
-        prop_assert_eq!(cached.moves, rebuild.moves);
-        for u in 0..g.n() as NodeId {
-            prop_assert_eq!(cached.profile.strategy(u), rebuild.profile.strategy(u));
-        }
-        let (a, b) = (cached.regret_series.unwrap(), rebuild.regret_series.unwrap());
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "regret series diverged");
-        }
+        let cached = Engine::new().run(&g, p0.clone(), &cfg);
+        let reference = reference_run(&g, p0, &cfg);
+        assert_same_run(&cached, &reference, &format!("{scheduler:?}"));
     }
 }
 
@@ -205,17 +196,14 @@ fn staleness_budget_triggers_rebuild() {
     // staleness, and a verdict matching a from-scratch context.
     let got = agent_is_stable_given_current(&g, &profile, &mut ctx, 0, RULE);
     assert_eq!(ctx.br_cache(0).unwrap().stale_removals(), 0);
-    let mut fresh = EvalContext::new(&g, &profile);
-    fresh.set_br_policy(BrCachePolicy::Rebuild);
-    let want = agent_is_stable_given_current(&g, &profile, &mut fresh, 0, RULE);
-    assert_eq!(got, want);
+    assert_eq!(got, stable_from_scratch(&g, &profile, 0));
 }
 
 /// Re-probing an agent with zero intervening deltas returns the
 /// memoized result (observable via `memo_is_warm`; in these debug
 /// builds every hit is still oracle-checked against a fresh search),
 /// and any committed delta kills the memo of every other agent's cache.
-/// Verdicts match a rebuild baseline throughout.
+/// Verdicts match a from-scratch best response throughout.
 #[test]
 fn repeat_probes_memoize_until_a_delta_lands() {
     let n = 9usize;
@@ -223,14 +211,12 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     let g = Game::new(host, 1.3);
     let mut profile = Profile::star(n, 0);
     let mut ctx = EvalContext::new(&g, &profile);
-    let mut baseline = EvalContext::new(&g, &profile);
-    baseline.set_br_policy(BrCachePolicy::Rebuild);
 
     // Two identical sweeps: the second is all memo hits.
     for _ in 0..2 {
         for u in 0..n as NodeId {
             let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
+            let want = stable_from_scratch(&g, &profile, u);
             assert_eq!(got, want);
         }
     }
@@ -246,7 +232,6 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     let old = profile.strategy(3).clone();
     profile.set_strategy(3, s);
     ctx.apply_strategy_change(&g, &profile, 3, &old);
-    baseline.apply_strategy_change(&g, &profile, 3, &old);
     for u in 0..n as NodeId {
         if u != 3 {
             assert!(
@@ -257,14 +242,14 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     }
     for u in 0..n as NodeId {
         let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
+        let want = stable_from_scratch(&g, &profile, u);
         assert_eq!(got, want, "agent {u} diverged after the memo-killing delta");
         assert!(ctx.br_cache(u).unwrap().memo_is_warm());
     }
 }
 
 /// Under the budget, removals stay stale (weaker pruning, never a wrong
-/// answer): probes keep matching the rebuild baseline while phantoms are
+/// answer): probes keep matching a from-scratch best response while phantoms are
 /// live, without triggering a rebuild.
 #[test]
 fn stale_bounds_stay_admissible_under_budget() {
@@ -276,13 +261,11 @@ fn stale_bounds_stay_admissible_under_budget() {
         profile.buy(i, i + 1);
     }
     let mut ctx = EvalContext::new(&g, &profile);
-    let mut baseline = EvalContext::new(&g, &profile);
-    baseline.set_br_policy(BrCachePolicy::Rebuild);
 
     // Build every agent's tables once.
     for u in 0..n as NodeId {
         let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
+        let want = stable_from_scratch(&g, &profile, u);
         assert_eq!(got, want);
     }
     // Three removals, probing after each: the phantoms stay resident.
@@ -292,10 +275,9 @@ fn stale_bounds_stay_admissible_under_budget() {
         let old = profile.strategy(i).clone();
         profile.set_strategy(i, s);
         ctx.apply_strategy_change(&g, &profile, i, &old);
-        baseline.apply_strategy_change(&g, &profile, i, &old);
         for u in 0..n as NodeId {
             let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = agent_is_stable_given_current(&g, &profile, &mut baseline, u, RULE);
+            let want = stable_from_scratch(&g, &profile, u);
             assert_eq!(got, want, "agent {u} diverged with phantoms live");
         }
         // Probed caches of non-movers kept the removal stale, not repaired.

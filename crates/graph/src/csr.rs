@@ -662,10 +662,6 @@ pub struct DynamicSssp {
     price_horizon: Option<usize>,
 }
 
-/// The historical name of [`DynamicSssp`], kept while the engine handled
-/// insertions only.
-pub type IncrementalSssp = DynamicSssp;
-
 impl DynamicSssp {
     /// A fresh engine.
     pub fn new() -> Self {
@@ -1435,7 +1431,7 @@ mod tests {
         let g = diamond();
         let c = Csr::from_adjacency(&g);
         let d0 = dijkstra(&g, 0);
-        let mut inc = IncrementalSssp::new();
+        let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
 
         inc.add_edge(&c, 0, 3, 0.5);
@@ -1464,7 +1460,7 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         let d0 = dijkstra(&g, 0);
         assert!(d0[1].is_infinite());
-        let mut inc = IncrementalSssp::new();
+        let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         inc.add_edge(&g, 0, 1, 2.0);
         assert_eq!(inc.dist(), &[0.0, 2.0, 3.0, 4.0]);
@@ -1475,7 +1471,7 @@ mod tests {
     #[test]
     fn incremental_sum_matches_vector_sum() {
         let g = diamond();
-        let mut inc = IncrementalSssp::new();
+        let mut inc = DynamicSssp::new();
         inc.reset_from(0, &dijkstra(&g, 0));
         inc.add_edge(&g, 0, 3, 0.5);
         let manual: f64 = inc.dist().iter().sum();
@@ -1485,7 +1481,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn undo_without_frame_panics() {
-        IncrementalSssp::new().undo();
+        DynamicSssp::new().undo();
     }
 
     #[test]
@@ -1497,7 +1493,7 @@ mod tests {
             let d0 = dijkstra(&g, source);
             let mut live = g.clone();
             live.add_edge(1, 2, 0.25);
-            let mut inc = IncrementalSssp::new();
+            let mut inc = DynamicSssp::new();
             inc.reset_from(source, &d0);
             inc.relax_insert(&live, 1, 2, 0.25);
             assert_eq!(
@@ -1521,7 +1517,7 @@ mod tests {
         let mut live = g.clone();
         live.add_edge(0, 3, 1.0);
         live.add_edge(3, 2, 1.0);
-        let mut inc = IncrementalSssp::new();
+        let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         inc.relax_insert(&live, 0, 3, 1.0);
         inc.relax_insert(&live, 3, 2, 1.0);
@@ -1533,7 +1529,7 @@ mod tests {
     fn relax_insert_leaves_undo_log_untouched() {
         let g = diamond();
         let d0 = dijkstra(&g, 0);
-        let mut inc = IncrementalSssp::new();
+        let mut inc = DynamicSssp::new();
         inc.reset_from(0, &d0);
         let mut live = g.clone();
         live.add_edge(0, 3, 0.5);
@@ -1939,7 +1935,7 @@ mod tests {
         // relaxation invariant (see add_edge docs); the contract is
         // enforced in debug builds.
         let g = diamond();
-        let mut inc = IncrementalSssp::new();
+        let mut inc = DynamicSssp::new();
         inc.reset_from(0, &dijkstra(&g, 0));
         inc.add_edge(&g, 1, 2, 0.1);
     }

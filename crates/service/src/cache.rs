@@ -350,6 +350,7 @@ mod tests {
 
     #[test]
     fn startup_compaction_drops_evicted_duplicate_and_torn_records() {
+        let _fp = crate::failpoint::serial();
         let path = tmp("compact.cache");
         let _ = fs::remove_file(&path);
         let items = cells_and_results(4);
@@ -387,6 +388,7 @@ mod tests {
 
     #[test]
     fn disk_append_failure_degrades_to_memory_only() {
+        let _fp = crate::failpoint::serial();
         let path = tmp("degrade.cache");
         let _ = fs::remove_file(&path);
         let items = cells_and_results(2);
@@ -407,6 +409,7 @@ mod tests {
 
     #[test]
     fn disk_cache_survives_reopen_and_skips_torn_tail() {
+        let _fp = crate::failpoint::serial();
         let path = tmp("persist.cache");
         let _ = fs::remove_file(&path);
         let spec = ScenarioSpec {

@@ -41,6 +41,9 @@
 #[cfg(any(test, feature = "failpoints"))]
 pub use real::{arm, check, disarm, hits, reset, Action};
 
+#[cfg(test)]
+pub(crate) use real::serial;
+
 #[cfg(any(test, feature = "failpoints"))]
 mod real {
     use std::collections::HashMap;
@@ -140,6 +143,20 @@ mod real {
     /// Hits recorded at `site` so far (0 when not armed).
     pub fn hits(site: &str) -> u64 {
         sites().lock().unwrap().get(site).map_or(0, |s| s.hits)
+    }
+
+    /// Serializes this crate's unit tests that arm a site or hit one
+    /// (every disk append of the cache and the journal): the registry is
+    /// process-global, so a site one test arms would otherwise fire on a
+    /// sibling test's hit. Each holder starts from an empty registry, so
+    /// a test that panicked with a site armed cannot leak it into the
+    /// next one.
+    #[cfg(test)]
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        reset();
+        guard
     }
 
     /// Records one hit at `site` and performs the armed action if this is

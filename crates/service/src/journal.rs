@@ -281,6 +281,7 @@ mod tests {
 
     #[test]
     fn pending_jobs_replay_and_settled_jobs_compact_away() {
+        let _fp = crate::failpoint::serial();
         let path = tmp("replay.journal");
         let _ = fs::remove_file(&path);
         {
@@ -312,6 +313,7 @@ mod tests {
 
     #[test]
     fn torn_tail_and_foreign_lines_are_skipped() {
+        let _fp = crate::failpoint::serial();
         let path = tmp("torn.journal");
         let _ = fs::remove_file(&path);
         {
@@ -335,6 +337,7 @@ mod tests {
 
     #[test]
     fn submit_records_survive_without_terminal_sync() {
+        let _fp = crate::failpoint::serial();
         // Only the submit is fsync'd; this asserts the record *format*
         // round-trips with every deadline shape.
         let path = tmp("roundtrip.journal");
@@ -353,6 +356,7 @@ mod tests {
 
     #[test]
     fn non_positive_alpha_records_are_dropped_on_replay() {
+        let _fp = crate::failpoint::serial();
         // A journal written before α ≤ 0 was refused at validation can
         // hold such a submit; replaying it would panic a worker on every
         // restart, so replay drops it like any record that no longer
@@ -374,6 +378,28 @@ mod tests {
     }
 
     #[test]
+    fn host_matrix_overflow_records_are_dropped_on_replay() {
+        // A journal written before validation bounded n can hold a submit
+        // whose n·n wraps; replaying it would panic a worker on every
+        // restart.
+        let _fp = crate::failpoint::serial();
+        let path = tmp("huge-n.journal");
+        let _ = fs::remove_file(&path);
+        {
+            let (mut j, _, _) = Journal::open(&path).unwrap();
+            j.record_submit(1, None, &spec());
+            let huge = ScenarioSpec {
+                ns: vec![1 << 32],
+                ..spec()
+            };
+            j.record_submit(2, None, &huge);
+        }
+        let (_, replayed, _) = Journal::open(&path).unwrap();
+        let jobs: Vec<_> = replayed.iter().map(|r| r.job).collect();
+        assert_eq!(jobs, vec![1]);
+    }
+
+    #[test]
     fn disabled_journal_is_inert() {
         let mut j = Journal::disabled();
         j.record_submit(1, None, &spec());
@@ -384,6 +410,7 @@ mod tests {
 
     #[test]
     fn append_failure_degrades_and_counts() {
+        let _fp = crate::failpoint::serial();
         let path = tmp("degrade.journal");
         let _ = fs::remove_file(&path);
         let (mut j, _, _) = Journal::open(&path).unwrap();

@@ -248,6 +248,22 @@ fn cli_refuses_non_positive_alpha_with_exit_2() {
 }
 
 #[test]
+fn cli_refuses_host_matrix_overflow_with_exit_2() {
+    // n = 2^32 wraps n·n: the grid used to panic in SymMatrix::filled
+    // (exit 101) instead of refusing the spec.
+    let out = tmp_dir().join("huge-n.jsonl");
+    let grid = gncg()
+        .args(["grid", "--out", out.to_str().unwrap()])
+        .args(["--hosts", "unit", "--n", "4294967296", "--alpha", "1"])
+        .args(["--rules", "greedy", "--seed-count", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(grid.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&grid.stderr).contains("too large"));
+    assert!(!out.exists(), "a refused grid must write nothing");
+}
+
+#[test]
 fn cli_resume_refuses_broken_manifest() {
     // The CLI rebuilds the spec from the manifest, so a *valid* edited
     // manifest is (by construction) self-consistent; the mismatch guard

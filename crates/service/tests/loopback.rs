@@ -319,6 +319,46 @@ fn non_positive_alpha_is_refused_before_the_journal() {
 }
 
 #[test]
+fn host_matrix_overflow_is_refused_before_the_journal() {
+    // A journaled submit whose n·n wraps would panic a worker on the
+    // first run and again on every replay.
+    let dir = tmp_dir().join("huge-n");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("jobs.journal");
+    let (server, addr) = start_server(ServiceConfig {
+        workers: 1,
+        journal_path: Some(journal.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    let small = ScenarioSpec {
+        hosts: vec!["unit".into()],
+        ns: vec![5],
+        alphas: vec![2.0],
+        schedulers: vec![SchedSpec::RoundRobin],
+        seeds: vec![0],
+        ..spec()
+    };
+    let huge = ScenarioSpec {
+        ns: vec![5, 1 << 32],
+        ..small.clone()
+    };
+    let err = client.submit(&huge).unwrap_err();
+    assert!(err.contains("too large"), "{err}");
+    assert!(
+        !fs::read_to_string(&journal).unwrap().contains("submit"),
+        "a refused submit must never reach the journal"
+    );
+    // The daemon keeps serving on the same connection.
+    let mut sink = Vec::new();
+    let (_, sum) = client.submit_and_stream(&small, &mut sink).unwrap();
+    assert_eq!(sum.cells, small.cell_count());
+    client.shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
 fn queue_cap_refuses_excess_jobs() {
     let (server, addr) = start_server(ServiceConfig {
         workers: 1,

@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use gncg_core::{cost, equilibrium, Game, NodeId, Profile};
 use gncg_dynamics::{
-    BrCachePolicy, Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult,
-    ScanPolicy, Scheduler, SpeculativePricing,
+    Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult, Scheduler,
+    SpeculativePricing,
 };
 
 /// JSONL schema version emitted by [`CellResult::to_jsonl`] consumers
@@ -293,12 +293,9 @@ impl ScenarioSpec {
     /// The br-grid preset: exact-best-response dynamics on three hosts at
     /// the sizes where the exponential per-activation search is the whole
     /// cell cost — the end-to-end workload of the persistent BR bound
-    /// tables (`BrCachePolicy::Cached`, the engine default). The cache is
-    /// bitwise invisible (cached and rebuild pricing choose identical
-    /// responses at identical cost bits), so this grid's bytes are locked
-    /// by `tests/golden/br_grid_n14.jsonl` *and* must reproduce exactly
-    /// under `BrCachePolicy::Rebuild` — the `br_grid` bench measures the
-    /// speedup between those two runs of the same byte stream.
+    /// tables. The tables are bitwise invisible (they choose the responses
+    /// a rebuild-per-activation search chooses, at identical cost bits),
+    /// and this grid's bytes are locked by `tests/golden/br_grid_n14.jsonl`.
     pub fn br_grid() -> ScenarioSpec {
         ScenarioSpec {
             name: "br-grid".into(),
@@ -410,6 +407,16 @@ impl ScenarioSpec {
         for &n in &self.ns {
             if n < 2 {
                 return Err(format!("n = {n} is below the 2-agent minimum"));
+            }
+            // The host is an n×n f64 matrix; no allocation may exceed
+            // isize::MAX bytes, and past that n·n itself can wrap.
+            let host_bytes = n
+                .checked_mul(n)
+                .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()));
+            if host_bytes.is_none_or(|b| b > isize::MAX as usize) {
+                return Err(format!(
+                    "n = {n} is too large: its n×n host matrix overflows the address space"
+                ));
             }
         }
         for &alpha in &self.alphas {
@@ -882,24 +889,6 @@ impl Runner {
         self.engine.recycle();
     }
 
-    /// Sets the engine's candidate-move [`ScanPolicy`] for every
-    /// subsequent cell (it survives per-cell context resets). Cell
-    /// results are byte-identical under either policy; the `move_scan`
-    /// bench uses this to measure the masked-Dijkstra baseline against
-    /// the default speculative scan.
-    pub fn set_scan_policy(&mut self, scan: ScanPolicy) {
-        self.engine.context_mut().set_scan_policy(scan);
-    }
-
-    /// Sets the engine's exact-best-response [`BrCachePolicy`] for every
-    /// subsequent cell (sticky across per-cell context resets). Cell
-    /// results are byte-identical under either policy; the `br_grid`
-    /// bench uses this to measure the rebuild-every-activation baseline
-    /// against the default persistent bound tables.
-    pub fn set_br_policy(&mut self, policy: BrCachePolicy) {
-        self.engine.context_mut().set_br_policy(policy);
-    }
-
     /// Bytes resident in the engine's warm distance vectors after the
     /// last cell — the figure the service's `warm_resident_bytes` peak
     /// gauge records per job.
@@ -1175,6 +1164,23 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn validate_rejects_host_matrix_overflow() {
+        // n·n wraps for n = 2^32 (SymMatrix::filled then indexed an empty
+        // buffer). The bound is the isize::MAX allocation limit on the
+        // n×n·8-byte host matrix: (2^30)²·8 = 2^63 is one byte over it.
+        for n in [1usize << 30, 1 << 32, usize::MAX] {
+            let mut spec = tiny_spec();
+            spec.ns = vec![6, n];
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("too large"), "n = {n}: {err}");
+        }
+        let mut spec = tiny_spec();
+        spec.ns = vec![(1 << 30) - 1];
+        spec.validate().unwrap();
+    }
+
+    #[test]
     fn manifest_rejects_unknown_host_and_schema() {
         let mut spec = tiny_spec();
         spec.hosts = vec!["bogus".into()];
@@ -1382,41 +1388,6 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(cell_digest(&moved), cell_digest(&base));
-    }
-
-    #[test]
-    fn scan_policies_produce_identical_cell_bytes() {
-        // A swap-heavy cell (the removal-richest regime) run under the
-        // speculative scan and the masked-Dijkstra baseline must emit
-        // byte-identical JSONL lines.
-        let cell = &ScenarioSpec::swap_heavy().expand()[4];
-        let speculative = Runner::new().run_cell(cell).to_jsonl();
-        let mut masked_runner = Runner::new();
-        masked_runner.set_scan_policy(ScanPolicy::MaskedDijkstra);
-        let masked = masked_runner.run_cell(cell).to_jsonl();
-        assert_eq!(speculative, masked);
-    }
-
-    #[test]
-    fn br_policies_produce_identical_cell_bytes() {
-        // BR cells run off the persistent bound tables by default; the
-        // rebuild-every-activation baseline (the historical pre-cache
-        // path) must emit byte-identical JSONL lines. A shared runner per
-        // policy keeps each cache alive *across* cells, so the reset
-        // invalidation is exercised too.
-        let cells = ScenarioSpec::br_grid().expand();
-        let mut cached_runner = Runner::new();
-        let mut rebuild_runner = Runner::new();
-        rebuild_runner.set_br_policy(BrCachePolicy::Rebuild);
-        for cell in [&cells[0], &cells[7], &cells[20]] {
-            let cached = cached_runner.run_cell(cell).to_jsonl();
-            let rebuild = rebuild_runner.run_cell(cell).to_jsonl();
-            assert_eq!(
-                cached, rebuild,
-                "cell {} diverged across BR policies",
-                cell.index
-            );
-        }
     }
 
     #[test]

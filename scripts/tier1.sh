@@ -24,6 +24,15 @@ cargo build --release
 echo "== cargo test" >&2
 cargo test -q
 
+echo "== service lib tests x30 (failpoint registry isolation)" >&2
+# The failpoint registry is process-global: a site one unit test arms
+# fires on whichever test hits it next, so every test that arms or hits a
+# site holds failpoint::serial(). A test that misses the guard races its
+# siblings only now and then, so one pass would not show it.
+for _ in $(seq 30); do
+  cargo test -q -p gncg-service --lib >/dev/null
+done
+
 echo "== rayon shim under an oversubscribed pool (GNCG_THREADS=4)" >&2
 # The pool tests must pass at a thread count above the core count: steals
 # and panic propagation still have to behave when workers outnumber CPUs.

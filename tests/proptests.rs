@@ -182,7 +182,7 @@ proptest! {
         greedy in proptest::bool::ANY,
     ) {
         use gncg_core::response::{best_move_among_given_current, best_move_among_speculative};
-        use gncg_core::Move;
+        use gncg_core::{Move, SpeculativePricing};
         use gncg_graph::DynamicSssp;
         let n = 8usize;
         let alpha = [0.4, 1.5, 6.0][(seed % 3) as usize];
@@ -202,7 +202,14 @@ proptest! {
                 warm.reset_from(u, &gncg_graph::dijkstra::dijkstra(&network, u));
                 let before = warm.dist().to_vec();
                 let spec = best_move_among_speculative(
-                    &game, &p, &network, &mut warm, u, current, &moves,
+                    &game,
+                    &p,
+                    &network,
+                    &mut warm,
+                    u,
+                    current,
+                    &moves,
+                    SpeculativePricing::FullSum,
                 );
                 let oracle =
                     best_move_among_given_current(&game, &p, &network, u, current, &moves);
