@@ -9,9 +9,9 @@
 //! `grid_wall` (each run once on the work-stealing pool and once inside
 //! [`rayon::with_sequential`]) feed the tracked
 //! `maxgain_parallel_speedup_n20` and `grid_wall_speedup` figures; the
-//! `br_grid` pair (persistent BR bound tables vs rebuild-every-
-//! activation through `exact_best_response_given_current`) feeds
-//! `br_grid_speedup_n14`. Each pair's setup asserts that both arms do
+//! `br_grid` pair (the engine's facility-location search with its memo
+//! vs the optimistic-network oracle `exact_best_response_given_current`)
+//! feeds `br_grid_speedup_n14`. Each pair's setup asserts that both arms do
 //! identical work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -220,19 +220,17 @@ fn bench_grid_wall(c: &mut Criterion) {
 /// **two** `agent_is_stable_given_current` sweeps over every agent (the
 /// regret-meter pricing pass plus the convergence check the run loop
 /// performs each round) with one strategy toggle committed between
-/// rounds so the tables keep absorbing deltas. This is where the
-/// br-grid cells spend their wall clock — runs converge within a few
-/// rounds and the bill after that is stability probing, where
-/// branch-and-bound pruning is sharp and the dominant cost of a probe
-/// is building the bound tables (candidate sort + n + 1 Dijkstras for
-/// the `d0`/B* vectors). With `rebuild` every probe pays that build
-/// (the current cost still comes off the warm vector, and the search
-/// runs through [`exact_best_response_given_current`]); by default a
-/// probe pays only delta maintenance plus the DFS, and the delta-free
-/// second sweep returns memoized results outright. The dynamics-loop
-/// bookkeeping both arms share is deliberately thin here, as in
-/// `replay_swap_script`, so the pair isolates bound-table reuse. Returns
-/// a stability count so the searches are not optimized away.
+/// rounds. This is where the br-grid cells spend their wall clock — runs
+/// converge within a few rounds and the bill after that is stability
+/// probing. With `rebuild` every probe runs the optimistic-network
+/// oracle [`exact_best_response_given_current`] (its `B*` tables plus a
+/// `DynamicSssp`-relaxing DFS; the current cost still comes off the
+/// warm vector); by default a probe runs the engine's facility-location
+/// search, and the move-free second sweep returns memoized results
+/// outright. The dynamics-loop bookkeeping both arms share is
+/// deliberately thin here, as in `replay_swap_script`, so the pair
+/// isolates the search. Returns a stability count so the searches are
+/// not optimized away.
 fn replay_br_sweeps(game: &Game, start: &Profile, rebuild: bool) -> usize {
     const RULE: ResponseRule = ResponseRule::ExactBestResponse;
     let n = game.n();
@@ -258,8 +256,8 @@ fn replay_br_sweeps(game: &Game, start: &Profile, rebuild: bool) -> usize {
         }
         // One non-center agent toggles a shortcut (a buy if absent, a
         // drop if the converged profile owns it), so the next round's
-        // probes flow through both the insert and the stale-removal
-        // maintenance paths while staying near equilibrium.
+        // probes see both inserts and removals while staying near
+        // equilibrium.
         let a = 1 + round % m;
         let t = 1 + (a + 2) % m;
         let t = if t == a { 1 + (t % m) } else { t };
@@ -274,14 +272,14 @@ fn replay_br_sweeps(game: &Game, start: &Profile, rebuild: bool) -> usize {
     stable
 }
 
-/// The persistent BR bound tables priced on the br-grid column the
-/// golden locks: [`replay_br_sweeps`] at n = 14 over one game per host
-/// family × α band of the `br_grid` preset (the seed = 0 column), with
-/// the per-agent `BrBoundCache` resident across activations (`cached`,
-/// the engine's path) vs torn down and rebuilt on every activation
+/// The exact best response priced on the br-grid column the golden
+/// locks: [`replay_br_sweeps`] at n = 14 over one game per host family ×
+/// α band of the `br_grid` preset (the seed = 0 column), through the
+/// engine's per-agent `BrSearch` slots and memo (`cached`, the engine's
+/// path) vs the optimistic-network oracle on every activation
 /// (`rebuild`, the historical baseline). Both arms price
 /// bitwise-identical best responses (the setup asserts equal stability
-/// counts), so the delta is pure bound-table reuse. `scripts/bench_snapshot.sh` derives the tracked
+/// counts). `scripts/bench_snapshot.sh` derives the tracked
 /// `br_grid_speedup_n14` figure (rebuild ÷ cached wall time) from this
 /// pair.
 fn bench_br_grid(c: &mut Criterion) {

@@ -112,7 +112,7 @@ pub fn social_cost(game: &Game, profile: &Profile) -> f64 {
 }
 
 /// Social cost reusing a built network.
-pub fn social_cost_in(game: &Game, profile: &Profile, network: &AdjacencyList) -> f64 {
+fn social_cost_in(game: &Game, profile: &Profile, network: &AdjacencyList) -> f64 {
     let d = apsp_parallel(network);
     let dist = d.total_distance_cost();
     let edges: f64 = (0..profile.n() as NodeId)

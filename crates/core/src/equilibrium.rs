@@ -15,7 +15,7 @@ use rayon::prelude::*;
 use gncg_graph::{strictly_less, NodeId};
 
 use crate::cost::{agent_cost_in, base_graph_without, candidate_cost};
-use crate::response::{best_add_move, best_greedy_move, exact_best_response};
+use crate::response::{best_add_move, best_greedy_move, exact_best_response, BrSearch};
 use crate::{Game, Move, Profile};
 
 /// Whether `profile` is an Add-only Equilibrium.
@@ -51,13 +51,17 @@ pub fn is_swap_equilibrium(game: &Game, profile: &Profile) -> bool {
 }
 
 /// Whether `profile` is a pure Nash Equilibrium, certified by exact
-/// best-response search for every agent (parallelized). Exponential in the
-/// worst case — intended for the experiment sizes (n ≲ 20) and structured
-/// constructions.
+/// best-response search for every agent (parallelized over agents, all
+/// searching one built network). Exponential in the worst case — intended
+/// for the experiment sizes (n ≲ 20) and structured constructions.
 pub fn is_nash_equilibrium(game: &Game, profile: &Profile) -> bool {
-    (0..game.n() as NodeId)
-        .into_par_iter()
-        .all(|u| !exact_best_response(game, profile, u).improves())
+    let network = profile.build_network(game);
+    (0..game.n() as NodeId).into_par_iter().all(|u| {
+        let current = agent_cost_in(game, profile, &network, u).total();
+        !BrSearch::new()
+            .best_response(game, profile, &network, u, current)
+            .improves()
+    })
 }
 
 /// The worst NE approximation factor over agents:

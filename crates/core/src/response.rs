@@ -1,5 +1,4 @@
-//! Best responses: exact (incremental branch-and-bound) and greedy single
-//! moves.
+//! Best responses: exact (branch-and-bound) and greedy single moves.
 //!
 //! Computing an exact best response is NP-hard in every variant of the
 //! game (Corollary 1, Theorems 13 and 16), so the exact solver here is an
@@ -12,67 +11,74 @@
 //! * One-shot wrappers that build the network and price the agent's
 //!   current strategy themselves: [`exact_best_response`],
 //!   [`best_greedy_move`], [`best_add_move`] and [`best_move_among`].
-//! * Oracles, which rebuild their state from scratch on every call:
-//!   [`exact_best_response_given_current`] and
-//!   [`best_move_among_given_current`] take a prebuilt network and the
-//!   agent's current cost, and [`exact_best_response_reference`] is the
-//!   historical leaf-pricing search. They back the one-shot wrappers, the
-//!   debug-build checks of the fast paths, and the bench baselines.
-//! * The fast paths the dynamics engine runs: the speculative move scan
-//!   [`best_move_among_speculative`] over a warm distance vector, and the
-//!   persistent bound tables [`BrBoundCache`].
+//! * The fast paths the dynamics engine runs: the exact search
+//!   [`BrSearch`], whose buffers a caller can keep across searches, and
+//!   the speculative move scan [`best_move_among_speculative`] over a
+//!   warm distance vector.
+//! * Oracles, kept only as checkers and bench baselines:
+//!   [`exact_best_response_given_current`] (the optimistic-network
+//!   search below), [`best_move_among_given_current`] (one masked
+//!   Dijkstra per move) and [`exact_best_response_reference`] (the
+//!   historical leaf-pricing search).
 //!
-//! # The incremental engine
+//! # The facility-location form
 //!
-//! The historical implementation ([`exact_best_response_reference`]) priced
-//! every *leaf* of the include/exclude tree with a from-scratch Dijkstra.
-//! The current engine ([`exact_best_response`]) instead maintains the
-//! agent's distance vector *incrementally* along the DFS: including
-//! candidate edge `(u, v)` can only decrease distances, so the include
-//! branch relaxes outward from `v` through an
-//! [`DynamicSssp`] undo log and restores
-//! the exact previous vector on backtrack. Consequences:
+//! Theorem 3 reduces an agent's strategy problem to uncapacitated
+//! facility location, and the exact search runs on that form. Take agent
+//! `u` with base graph `B` (the network minus `u`'s sole-owned edges).
+//! Every shortest path from `u` either stays in `B`, or starts with one
+//! bought edge `(u, v)` and never comes back to `u` (a return to `u`
+//! restarts the path at a prefix sum `≥ 0`, and float addition is
+//! monotone). So for a bought set `S` the distance vector is
 //!
-//! * **every partial set is fully priced for free** — the live vector *is*
-//!   the distance cost of the chosen set, so each subset is evaluated at
-//!   the moment its last edge is included (`O(n)` sum, zero Dijkstras at
-//!   leaves) and the incumbent tightens at internal nodes instead of only
-//!   at depth `n−1`;
-//! * the DFS allocates nothing per node (the undo log, heap, and chosen
-//!   stack are reused; only incumbent improvements clone a strategy).
+//! ```text
+//! D_S = min(d0, min_{v ∈ S} c_v)      element by element,
+//! ```
 //!
-//! # Why the partial-network bound is admissible
+//! where `d0` is the SSSP from `u` in `B` and `c_v` the SSSP over `B − u`
+//! with its start seeded at `dist[v] = w(u, v)` — a run from `u` whose only
+//! way out is the extra edge `(u, v)`, so the seed is `0 + w`. The seeded
+//! run adds weights left to right, as any relaxation from `u` does, and
+//! every exact SSSP takes the minimum over the same path prefix sums, so
+//! `D_S` is bitwise the vector a from-scratch Dijkstra on `B ∪ star(S)`
+//! produces (see `gncg_graph::csr`).
 //!
-//! A branch at depth `idx` has committed `chosen ⊆ {candidates[..idx]}`
-//! and may still add edges only towards `R = candidates[idx..]`. Every
-//! shortest path from `u` in any completion either
+//! [`BrSearch`] builds `d0` and the `n − 1` seeded vectors fresh for every
+//! search (one CSR snapshot of `B − u`, then `n` runs), then walks the
+//! include/exclude tree over the candidates sorted by ascending weight.
+//! Including a candidate writes `min(parent, c_v)` into a stack of
+//! vectors indexed by depth, so the search has no heap and no undo log,
+//! and every set is priced the moment its last edge is included: its
+//! distance cost is the index-order sum of its row.
 //!
-//! 1. uses no still-addable edge — all new edges are incident to `u`, a
-//!    path visits `u` once, so the whole path lies in `base ∪ chosen` and
-//!    its length is ≥ the live incremental distance `D[x]`, or
-//! 2. starts with a new edge `(u, v)`, `v ∈ R` — the remainder avoids `u`,
-//!    hence uses no new edge, so the path length is
-//!    ≥ `w(u,v) + d_{B*}(v, x)`, where `B* = base ∪ {(u,c) : c candidate}`
-//!    is the *optimistic network* (a supergraph of every reachable
-//!    network, so its distances lower-bound all of them).
+//! # Why the bound is exact
 //!
-//! Therefore `Σ_x min(D[x], min_{v∈R}(w(u,v) + d_{B*}(v, x)))` is an
-//! admissible distance lower bound — strictly stronger than the host
-//! closure bound the reference engine uses (`B*` is a subgraph of the
-//! host, so `d_H ≤ d_{B*}`, and the live `D` tightens it further as the
-//! DFS descends). The inner `min_{v∈R}` depends only on `idx` (remaining
-//! candidates form a suffix), so it is precomputed once per search as a
-//! suffix-min table (`via`), making the bound `O(n)` per node.
+//! A node at depth `idx` has committed `S ⊆ candidates[..idx]` and may
+//! still add only a non-empty `T ⊆ R = candidates[idx..]` (its own set
+//! `S` was priced when its last edge was included). The bound row
+//! `via[idx][x] = min_{i ≥ idx} c_i[x]` gives, element by element,
 //!
-//! **The edge-cost term.** The node's own set `chosen` was already priced
-//! when its last edge was included, so the bound only has to cover the
-//! subsets *below* the node that are still unpriced — and each of them
-//! buys at least one more candidate from `R`. Candidates are sorted by
-//! ascending weight, so that purchase costs at least `α · w(u, R[0]) =
-//! α · cand_w[idx]`, and the bound adds it to the committed edge cost. A
-//! leaf (`idx == len`) has nothing unpriced below it: its bound is `+∞`.
-//! When `cand_w[idx] = ∞` (the `{1, ∞}` hosts), every unpriced subset
-//! holds an ∞ edge and the `+∞` bound prunes them all.
+//! ```text
+//! D_{S∪T} = min(D_S, min_{v ∈ T} c_v) ≥ min(D_S, via[idx])
+//! ```
+//!
+//! with no rounding slack: `min` is exact and the index-order sum is
+//! monotone in every term. So `Σ_x min(D_S[x], via[idx][x])` is an
+//! admissible distance lower bound. It is also tighter than a bound over
+//! the optimistic network `B* = B ∪ star(all candidates)`, which lets a
+//! completion route back through `u`'s star to candidates the search has
+//! already excluded.
+//!
+//! **The edge-cost term.** Each unpriced subset below the node buys at
+//! least one more candidate from `R`. Candidates are sorted by ascending
+//! weight, so that purchase costs at least `α · w(u, R[0]) = α ·
+//! cand_w[idx]`, and the bound adds it to the committed edge sum. In the
+//! DFS's own summation order this term is exact too: adding the cheapest
+//! remaining weight, then any further non-negative weights, never rounds
+//! below the committed sum plus that cheapest weight. A leaf (`idx ==
+//! len`) has nothing unpriced below it: its bound is `+∞`. When
+//! `cand_w[idx] = ∞` (the `{1, ∞}` hosts), every unpriced subset holds an
+//! ∞ edge and the `+∞` bound prunes them all.
 //!
 //! # Why the pricing screen is exact
 //!
@@ -93,24 +99,25 @@
 //! which is ∞ in either order and never improves. A finite price against
 //! an ∞ incumbent (a disconnected agent) always takes the exact path.
 //!
-//! Both the edge-cost term and the screen skip only subsets that cannot
-//! replace the incumbent, so the sequence of incumbent updates — and the
-//! reported strategy and cost bits — are those of an exhaustive pricing
-//! in the same visit order, up to the sub-`EPS` near-ties discussed
-//! below (proptested against brute force on every registered host
-//! family).
+//! Both the bound and the screen skip only subsets that cannot replace
+//! the incumbent, so the sequence of incumbent updates — and the reported
+//! strategy and cost bits — are those of an exhaustive pricing in the
+//! same visit order, up to the sub-`EPS` near-ties discussed below
+//! (proptested against brute force on every registered host family).
+//! The optimistic-network search [`exact_best_response_given_current`]
+//! visits subsets in the same order under a weaker bound, so the two
+//! agree bit for bit; debug builds assert that on every [`BrSearch`].
 //!
 //! Costs are **bit-identical** to the reference engine on any instance
 //! whose distinct candidate subsets are not tied within
-//! [`EPS`](gncg_graph::EPS): the incremental vector equals a from-scratch
-//! Dijkstra's exactly (both take exact minima over the same sets of path
-//! prefix sums — see `gncg_graph::csr`), and both sum it in index order.
-//! On adversarial sub-`EPS` near-ties the engines may legitimately settle
-//! on either member of the tie (they visit subsets in different orders
-//! and both accept/prune with `EPS` tolerance), so reported costs can
-//! differ by up to `EPS` — the paper's constructions and the random
-//! metrics of the equivalence suites clear the tolerance by orders of
-//! magnitude, which is what licenses the exact `assert_eq!` there.
+//! [`EPS`](gncg_graph::EPS): the stacked vector equals a from-scratch
+//! Dijkstra's exactly, and both sum it in index order. On adversarial
+//! sub-`EPS` near-ties the engines may legitimately settle on either
+//! member of the tie (they visit subsets in different orders and both
+//! accept/prune with `EPS` tolerance), so reported costs can differ by up
+//! to `EPS` — the paper's constructions and the random metrics of the
+//! equivalence suites clear the tolerance by orders of magnitude, which
+//! is what licenses the exact `assert_eq!` there.
 
 use std::collections::BTreeSet;
 
@@ -145,54 +152,14 @@ impl BestResponse {
     }
 }
 
-/// Per-activation owned search state: a CSR snapshot of the base graph
-/// plus the candidate/bound tables. The DFS itself runs on the borrowed
-/// [`BrSearchView`], which a persistent [`BrBoundCache`] can also
-/// assemble from its delta-maintained resident tables.
-struct BrSearch<'g> {
-    game: &'g Game,
-    agent: NodeId,
-    n: usize,
-    /// CSR snapshot of the base graph (network minus the agent's
-    /// sole-owned edges); all incremental relaxation runs on it.
-    csr: Csr,
-    /// Candidates sorted by increasing host weight from the agent.
-    candidates: Vec<NodeId>,
-    /// `w(agent, candidates[i])`, parallel to `candidates`.
-    cand_w: Vec<f64>,
-    /// Distances from the agent in the bare base graph.
-    d0: Vec<f64>,
-    /// Suffix-min table of the optimistic bound:
-    /// `via[idx·n + x] = min_{i ≥ idx} (cand_w[i] + d_{B*}(candidates[i], x))`,
-    /// with row `len` all-∞ (no candidates left).
-    via: Vec<f64>,
-    /// The host's weight class, installed as the bucket-queue hint on
-    /// every SSSP engine this search spawns ([`Game::weight_class`]).
-    weight_class: Option<(f64, f64)>,
-}
-
-/// Borrowed read-only state shared by every branch of one best-response
-/// search — the immutable half of the engine, split out so the fresh
-/// per-activation path ([`BrSearch`]) and the persistent cached path
-/// ([`BrBoundCache`]) drive the *same* DFS over the same invariants.
-#[derive(Clone, Copy)]
-struct BrSearchView<'g> {
-    game: &'g Game,
-    agent: NodeId,
-    n: usize,
-    csr: &'g Csr,
-    candidates: &'g [NodeId],
-    cand_w: &'g [f64],
-    via: &'g [f64],
-}
-
-/// Mutable per-branch state (per worker in the parallel search).
-#[derive(Debug)]
-struct BrWorker {
-    inc: DynamicSssp,
+/// The include/exclude path and the incumbent of one branch of a search,
+/// shared by [`BrSearch`] and its oracle.
+#[derive(Debug, Default)]
+struct Tally {
+    /// The candidates included on the current DFS path, in include order.
     chosen: Vec<NodeId>,
-    /// Membership bitmap of `chosen` (indexed by node id): evaluation sums
-    /// edge weights in ascending id order, matching the `BTreeSet`
+    /// Membership bitmap of `chosen` (indexed by node id): the exact price
+    /// sums edge weights in ascending id order, matching the `BTreeSet`
     /// iteration order of [`candidate_cost`] bit for bit.
     in_set: Vec<bool>,
     best_cost: f64,
@@ -201,56 +168,55 @@ struct BrWorker {
     nodes: usize,
 }
 
-impl BrWorker {
-    fn new() -> Self {
-        BrWorker {
-            inc: DynamicSssp::new(),
-            chosen: Vec::new(),
-            in_set: Vec::new(),
-            best_cost: f64::INFINITY,
-            best_set: BTreeSet::new(),
-            evaluated: 0,
-            nodes: 0,
-        }
-    }
-
-    /// Re-arms the worker for one search: live vector seeded from `d0`,
-    /// incumbent seeded from the agent's current strategy and cost.
-    fn reset(
-        &mut self,
-        agent: NodeId,
-        n: usize,
-        d0: &[f64],
-        weight_class: Option<(f64, f64)>,
-        current: f64,
-        current_set: &BTreeSet<NodeId>,
-    ) {
+impl Tally {
+    /// Re-arms the tally for one search: nothing chosen, the incumbent
+    /// seeded from the agent's current strategy and cost.
+    fn reset(&mut self, n: usize, current: f64, current_set: &BTreeSet<NodeId>) {
         self.chosen.clear();
         self.in_set.clear();
         self.in_set.resize(n, false);
         self.best_cost = current;
-        self.best_set.clear();
-        self.best_set.extend(current_set.iter().copied());
+        self.best_set.clone_from(current_set);
         self.evaluated = 0;
         self.nodes = 0;
-        self.inc.set_weight_class(weight_class);
-        self.inc.reset_from(agent, d0);
     }
 
-    fn fresh(search: &BrSearch<'_>, current: f64, current_set: &BTreeSet<NodeId>) -> Self {
-        let mut worker = BrWorker::new();
-        worker.reset(
-            search.agent,
-            search.n,
-            &search.d0,
-            search.weight_class,
-            current,
-            current_set,
-        );
-        worker
+    fn include(&mut self, v: NodeId) {
+        self.chosen.push(v);
+        self.in_set[v as usize] = true;
     }
 
-    fn take_result(&mut self, current: f64) -> BestResponse {
+    fn exclude_last(&mut self) {
+        let v = self.chosen.pop().expect("exclude after an include");
+        self.in_set[v as usize] = false;
+    }
+
+    /// Prices the chosen set — distance cost `dist_sum`, edge sum
+    /// `edge_w_sum` in DFS order — and tightens the incumbent. The DFS-order
+    /// price screens the set first; only a set that may beat the incumbent
+    /// gets its edge sum re-accumulated in ascending node-id order, so
+    /// totals match [`candidate_cost`] exactly (f64 addition is
+    /// order-sensitive).
+    fn price(&mut self, game: &Game, agent: NodeId, edge_w_sum: f64, dist_sum: f64) {
+        self.evaluated += 1;
+        let screened = game.alpha() * edge_w_sum + dist_sum;
+        if !screen_may_improve(screened, self.best_cost, self.in_set.len()) {
+            return;
+        }
+        let mut edge_sum = 0.0;
+        for (v, &inside) in self.in_set.iter().enumerate() {
+            if inside {
+                edge_sum += game.w(agent, v as NodeId);
+            }
+        }
+        let cost = game.alpha() * edge_sum + dist_sum;
+        if strictly_less(cost, self.best_cost) {
+            self.best_cost = cost;
+            self.best_set = self.chosen.iter().copied().collect();
+        }
+    }
+
+    fn result(&mut self, current: f64) -> BestResponse {
         BestResponse {
             strategy: std::mem::take(&mut self.best_set),
             cost: self.best_cost,
@@ -258,143 +224,6 @@ impl BrWorker {
             evaluated: self.evaluated,
             nodes: self.nodes,
         }
-    }
-}
-
-impl<'g> BrSearch<'g> {
-    /// The borrowed view the DFS runs on.
-    fn view(&self) -> BrSearchView<'_> {
-        BrSearchView {
-            game: self.game,
-            agent: self.agent,
-            n: self.n,
-            csr: &self.csr,
-            candidates: &self.candidates,
-            cand_w: &self.cand_w,
-            via: &self.via,
-        }
-    }
-
-    /// Builds the shared search state from a prebuilt base graph.
-    fn new(game: &'g Game, agent: NodeId, base: &AdjacencyList) -> Self {
-        let n = game.n();
-        let mut candidates: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != agent).collect();
-        candidates.sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
-        let cand_w: Vec<f64> = candidates.iter().map(|&v| game.w(agent, v)).collect();
-
-        let weight_class = game.weight_class();
-        let csr = Csr::from_adjacency(base);
-        let mut scratch = DijkstraScratch::new();
-        scratch.set_weight_class(weight_class);
-        scratch.run(&csr, agent, &[]);
-        let d0 = scratch.to_vec(n);
-
-        // The optimistic network B*: base plus every candidate edge.
-        let mut bstar = base.clone();
-        for &v in &candidates {
-            if !bstar.has_edge(agent, v) {
-                bstar.add_edge(agent, v, game.w(agent, v));
-            }
-        }
-        let bstar_csr = Csr::from_adjacency(&bstar);
-
-        // Suffix-min bound table, built back to front.
-        let len = candidates.len();
-        let mut via = vec![f64::INFINITY; (len + 1) * n];
-        for i in (0..len).rev() {
-            scratch.run(&bstar_csr, candidates[i], &[]);
-            let (lo, hi) = (i * n, (i + 1) * n);
-            for x in 0..n {
-                let through = cand_w[i] + scratch.dist(x as NodeId);
-                via[lo + x] = through.min(via[hi + x]);
-            }
-        }
-
-        BrSearch {
-            game,
-            agent,
-            n,
-            csr,
-            candidates,
-            cand_w,
-            d0,
-            via,
-            weight_class,
-        }
-    }
-}
-
-impl BrSearchView<'_> {
-    /// The admissible lower bound on every subset under a node that the
-    /// search has not priced yet (the node's own chosen set was priced
-    /// when its last edge was included): committed edge cost plus the
-    /// cheapest remaining edge, plus `Σ_x min(live dist, optimistic
-    /// completion dist)`. `+∞` at a leaf, where nothing is left to price.
-    #[inline]
-    fn lower_bound(&self, worker: &BrWorker, idx: usize, edge_w_sum: f64) -> f64 {
-        if idx == self.candidates.len() {
-            return f64::INFINITY;
-        }
-        let via_row = &self.via[idx * self.n..(idx + 1) * self.n];
-        let dist = worker.inc.dist();
-        let mut lb = 0.0;
-        for x in 0..self.n {
-            lb += dist[x].min(via_row[x]);
-        }
-        self.game.alpha() * (edge_w_sum + self.cand_w[idx]) + lb
-    }
-
-    /// Prices the worker's current chosen set off the live vector and
-    /// tightens the incumbent. `edge_w_sum` is the set's edge sum in DFS
-    /// order; it screens the set first, and only a set that may beat the
-    /// incumbent gets its edge sum re-accumulated in ascending node-id
-    /// order, so totals match [`candidate_cost`] exactly — f64 addition
-    /// is order-sensitive.
-    #[inline]
-    fn evaluate_current(&self, worker: &mut BrWorker, edge_w_sum: f64) {
-        worker.evaluated += 1;
-        let dist_sum = worker.inc.sum();
-        let screened = self.game.alpha() * edge_w_sum + dist_sum;
-        if !screen_may_improve(screened, worker.best_cost, self.n) {
-            return;
-        }
-        let mut edge_sum = 0.0;
-        for v in 0..self.n {
-            if worker.in_set[v] {
-                edge_sum += self.game.w(self.agent, v as NodeId);
-            }
-        }
-        let cost = self.game.alpha() * edge_sum + dist_sum;
-        if strictly_less(cost, worker.best_cost) {
-            worker.best_cost = cost;
-            worker.best_set = worker.chosen.iter().copied().collect();
-        }
-    }
-
-    /// DFS over include/exclude decisions from `idx` onward. The chosen
-    /// set at entry has already been evaluated; `worker.inc` holds its
-    /// exact distance vector.
-    fn dfs(&self, worker: &mut BrWorker, idx: usize, edge_w_sum: f64) {
-        worker.nodes += 1;
-        if self.lower_bound(worker, idx, edge_w_sum) >= worker.best_cost - gncg_graph::EPS {
-            // No completion below this node can strictly beat the
-            // incumbent; every subset under it is dominated. Leaves
-            // always stop here (their bound is +∞).
-            return;
-        }
-        let v = self.candidates[idx];
-        let w = self.cand_w[idx];
-        // Branch 1: include v — relax incrementally, price the new set.
-        worker.inc.add_edge(self.csr, self.agent, v, w);
-        worker.chosen.push(v);
-        worker.in_set[v as usize] = true;
-        self.evaluate_current(worker, edge_w_sum + w);
-        self.dfs(worker, idx + 1, edge_w_sum + w);
-        worker.in_set[v as usize] = false;
-        worker.chosen.pop();
-        worker.inc.undo();
-        // Branch 2: exclude v.
-        self.dfs(worker, idx + 1, edge_w_sum);
     }
 }
 
@@ -416,21 +245,397 @@ fn screen_may_improve(screened: f64, incumbent: f64, n: usize) -> bool {
     strictly_less(screened - slack, incumbent)
 }
 
-/// Exact best response of `agent` via incremental depth-first
-/// branch-and-bound over subsets of `V \ {agent}` (see the module docs for
-/// the engine's invariants). The agent's *current* strategy seeds the
-/// incumbent, so the search also certifies equilibria quickly.
+/// Fills `candidates` with every node but `agent`, sorted by ascending
+/// host weight from the agent (a stable sort: ties keep id order), and
+/// `cand_w` with those weights — the visit order of both searches.
+fn sort_candidates(
+    game: &Game,
+    agent: NodeId,
+    candidates: &mut Vec<NodeId>,
+    cand_w: &mut Vec<f64>,
+) {
+    candidates.clear();
+    candidates.extend((0..game.n() as NodeId).filter(|&v| v != agent));
+    candidates.sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
+    cand_w.clear();
+    cand_w.extend(candidates.iter().map(|&v| game.w(agent, v)));
+}
+
+/// The lower bound on every subset under a DFS node at candidate `idx`
+/// that the search has not priced yet: the committed edge sum plus the
+/// cheapest remaining weight, times `α`, plus the node's distance bound
+/// `dist_lb` ([`dist_bound`]). `+∞` at a leaf, where nothing is left to
+/// price.
+#[inline]
+fn lower_bound(game: &Game, cand_w: &[f64], idx: usize, edge_w_sum: f64, dist_lb: f64) -> f64 {
+    match cand_w.get(idx) {
+        None => f64::INFINITY,
+        Some(&w) => game.alpha() * (edge_w_sum + w) + dist_lb,
+    }
+}
+
+/// `Σ_x min(dist[x], via[idx·n + x])` in index order: the distance part
+/// of the bound of a node with vector `dist` at candidate `idx`.
+#[inline]
+fn dist_bound(dist: &[f64], via: &[f64], idx: usize) -> f64 {
+    let n = dist.len();
+    let mut lb = 0.0;
+    for (&d, &v) in dist.iter().zip(&via[idx * n..(idx + 1) * n]) {
+        lb += d.min(v);
+    }
+    lb
+}
+
+/// Index-order sum of a distance vector — the order a Dijkstra vector is
+/// summed in everywhere, so totals agree bitwise.
+fn row_sum(row: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for &d in row {
+        s += d;
+    }
+    s
+}
+
+/// The exact best-response search in its facility-location form (see the
+/// module docs): `d0`, the seeded vectors `c_v` and their suffix-min
+/// bound rows are rebuilt for every search, and the DFS stacks
+/// `min(parent, c_v)` vectors by depth. The struct only keeps the buffers,
+/// so a caller that holds one across searches (the dynamics engine keeps
+/// one per agent) allocates nothing after the first.
+///
+/// Under `debug_assertions` every search is checked against
+/// [`exact_best_response_given_current`]: the same strategy and the same
+/// cost bits.
+#[derive(Debug)]
+pub struct BrSearch {
+    tables: BrTables,
+    worker: BrWorker,
+    /// `B − u`: the network with every edge at the agent left out.
+    csr: Csr,
+    /// Runs on the binary heap, with no weight-class hint: on graphs
+    /// this small a bucket ring walks more empty buckets than the heap
+    /// does work (a table build on the `br-exact` hosts took 26 µs with
+    /// the hint, 17 µs without).
+    dijkstra: DijkstraScratch,
+    /// The agent's base-graph edges, the seeds of the `d0` run.
+    seeds: Vec<(NodeId, NodeId, f64)>,
+}
+
+/// The read-only tables of one search.
+#[derive(Debug, Default)]
+struct BrTables {
+    agent: NodeId,
+    n: usize,
+    /// Candidates sorted by increasing host weight from the agent.
+    candidates: Vec<NodeId>,
+    /// `w(agent, candidates[i])`, parallel to `candidates`.
+    cand_w: Vec<f64>,
+    /// Distances from the agent in its base graph.
+    d0: Vec<f64>,
+    /// `reach[i·n + x] = c_{candidates[i]}[x]`: the distance from the agent
+    /// to `x` over the bought edge to `candidates[i]`, then `B − u`.
+    reach: Vec<f64>,
+    /// Suffix minima of `reach`: `via[i·n + x] = min_{j ≥ i} reach[j·n + x]`,
+    /// with row `len` all-∞ (no candidates left).
+    via: Vec<f64>,
+}
+
+/// The mutable state of the search: the depth stack and the incumbent.
+#[derive(Debug, Default)]
+struct BrWorker {
+    /// Distance vectors by DFS depth: row `k` belongs to the set of the
+    /// first `k` includes on the current path; row 0 is `d0`.
+    stack: Vec<f64>,
+    tally: Tally,
+}
+
+impl Default for BrSearch {
+    fn default() -> Self {
+        BrSearch::new()
+    }
+}
+
+impl BrSearch {
+    /// Empty buffers; they grow on the first search.
+    pub fn new() -> Self {
+        BrSearch {
+            tables: BrTables::default(),
+            worker: BrWorker::default(),
+            csr: Csr::from_adjacency(&AdjacencyList::default()),
+            dijkstra: DijkstraScratch::new(),
+            seeds: Vec::new(),
+        }
+    }
+
+    /// Bytes held by the search's tables and depth stack (capacity-based).
+    pub fn resident_bytes(&self) -> usize {
+        let t = &self.tables;
+        (t.d0.capacity() + t.reach.capacity() + t.via.capacity() + self.worker.stack.capacity())
+            * std::mem::size_of::<f64>()
+    }
+
+    /// The exact best response of `agent` in the built network `network`
+    /// of `profile`. `current` must equal `agent_cost_in(game, profile,
+    /// network, agent).total()` exactly: it seeds the incumbent, so a
+    /// too-low value could prune the true optimum.
+    pub fn best_response(
+        &mut self,
+        game: &Game,
+        profile: &Profile,
+        network: &AdjacencyList,
+        agent: NodeId,
+        current: f64,
+    ) -> BestResponse {
+        self.build(game, profile, network, agent);
+        let (tables, worker) = (&self.tables, &mut self.worker);
+        worker.reset(tables, current, profile.strategy(agent));
+        // The empty set is the one subset with no include step: price it here.
+        worker.tally.price(game, agent, 0.0, row_sum(&tables.d0));
+        worker.dfs(
+            game,
+            tables,
+            0,
+            0,
+            0.0,
+            dist_bound(&tables.d0, &tables.via, 0),
+        );
+        let result = worker.tally.result(current);
+        #[cfg(debug_assertions)]
+        {
+            let oracle = exact_best_response_given_current(game, profile, network, agent, current);
+            assert_eq!(
+                result.strategy, oracle.strategy,
+                "best response of agent {agent} diverged from the optimistic-network oracle"
+            );
+            assert_eq!(
+                result.cost.to_bits(),
+                oracle.cost.to_bits(),
+                "best-response cost of agent {agent} diverged from the optimistic-network oracle"
+            );
+        }
+        result
+    }
+
+    /// Builds the tables of one search: the candidate order, a CSR
+    /// snapshot of `B − u`, `d0` (seeded with the agent's base-graph
+    /// edges), one seeded run per candidate, and the suffix-min rows.
+    fn build(&mut self, game: &Game, profile: &Profile, network: &AdjacencyList, agent: NodeId) {
+        let n = game.n();
+        let t = &mut self.tables;
+        (t.agent, t.n) = (agent, n);
+        sort_candidates(game, agent, &mut t.candidates, &mut t.cand_w);
+        self.csr.assign_without(network, agent);
+        // The base graph keeps exactly the agent's edges that the other
+        // endpoint bought (co-owned ones included).
+        self.seeds.clear();
+        self.seeds.extend(
+            network
+                .neighbors(agent)
+                .iter()
+                .filter(|&&(x, _)| profile.owns(x, agent))
+                .map(|&(x, w)| (agent, x, w)),
+        );
+        self.dijkstra.run(&self.csr, agent, &self.seeds);
+        t.d0.resize(n, f64::INFINITY);
+        self.dijkstra.write_distances(&mut t.d0);
+        let len = t.candidates.len();
+        t.reach.resize(len * n, f64::INFINITY);
+        for (i, (&v, &w)) in t.candidates.iter().zip(&t.cand_w).enumerate() {
+            self.dijkstra.run(&self.csr, agent, &[(agent, v, w)]);
+            self.dijkstra
+                .write_distances(&mut t.reach[i * n..(i + 1) * n]);
+        }
+        t.via.clear();
+        t.via.resize((len + 1) * n, f64::INFINITY);
+        for i in (0..len).rev() {
+            // Row `i` folds over row `i + 1`, laid out right behind it.
+            let (row, next) = t.via[i * n..(i + 2) * n].split_at_mut(n);
+            for ((slot, &c), &suffix) in row.iter_mut().zip(&t.reach[i * n..]).zip(&*next) {
+                *slot = c.min(suffix);
+            }
+        }
+    }
+}
+
+impl BrWorker {
+    /// Re-arms the worker for one search: row 0 of the stack is `d0`, the
+    /// incumbent is the agent's current strategy and cost.
+    fn reset(&mut self, tables: &BrTables, current: f64, current_set: &BTreeSet<NodeId>) {
+        let n = tables.n;
+        self.stack
+            .resize((tables.candidates.len() + 1) * n, f64::INFINITY);
+        self.stack[..n].copy_from_slice(&tables.d0);
+        self.tally.reset(n, current, current_set);
+    }
+
+    /// Includes `candidates[idx]` on top of the set at `depth`: row
+    /// `depth + 1` becomes `min(row depth, c_v)`. One pass returns three
+    /// index-order sums: the new set's distance cost, and the distance
+    /// bounds ([`dist_bound`] at `idx + 1`) of the include child (the new
+    /// row) and of the exclude child (the parent row). The three chains
+    /// are independent, so the pass costs about as much as one sum.
+    fn include(&mut self, tables: &BrTables, idx: usize, depth: usize) -> (f64, f64, f64) {
+        let n = tables.n;
+        let (done, rest) = self.stack.split_at_mut((depth + 1) * n);
+        let (mut sum, mut inc_lb, mut exc_lb) = (0.0, 0.0, 0.0);
+        for (((slot, &d), &c), &v) in rest[..n]
+            .iter_mut()
+            .zip(&done[depth * n..])
+            .zip(&tables.reach[idx * n..(idx + 1) * n])
+            .zip(&tables.via[(idx + 1) * n..(idx + 2) * n])
+        {
+            *slot = d.min(c);
+            sum += *slot;
+            inc_lb += slot.min(v);
+            exc_lb += d.min(v);
+        }
+        self.tally.include(tables.candidates[idx]);
+        (sum, inc_lb, exc_lb)
+    }
+
+    /// DFS over include/exclude decisions from `idx` onward. The chosen
+    /// set at entry has `depth` edges and was already priced; its vector
+    /// is row `depth` of the stack, and `dist_lb` its distance bound at
+    /// `idx` (computed by the parent's include pass).
+    fn dfs(
+        &mut self,
+        game: &Game,
+        tables: &BrTables,
+        idx: usize,
+        depth: usize,
+        edge_w_sum: f64,
+        dist_lb: f64,
+    ) {
+        self.tally.nodes += 1;
+        if lower_bound(game, &tables.cand_w, idx, edge_w_sum, dist_lb)
+            >= self.tally.best_cost - gncg_graph::EPS
+        {
+            // No completion below this node can strictly beat the
+            // incumbent; every subset under it is dominated. Leaves
+            // always stop here (their bound is +∞).
+            return;
+        }
+        let w = tables.cand_w[idx];
+        // Branch 1: include the candidate, price the new set.
+        let (dist_sum, inc_lb, exc_lb) = self.include(tables, idx, depth);
+        self.tally
+            .price(game, tables.agent, edge_w_sum + w, dist_sum);
+        self.dfs(game, tables, idx + 1, depth + 1, edge_w_sum + w, inc_lb);
+        self.tally.exclude_last();
+        // Branch 2: exclude it.
+        self.dfs(game, tables, idx + 1, depth, edge_w_sum, exc_lb);
+    }
+}
+
+/// Exact best response of `agent` by depth-first branch-and-bound over
+/// subsets of `V \ {agent}` ([`BrSearch`]; see the module docs). The
+/// agent's *current* strategy seeds the incumbent, so the search also
+/// certifies equilibria quickly.
 pub fn exact_best_response(game: &Game, profile: &Profile, agent: NodeId) -> BestResponse {
     let network = profile.build_network(game);
     let current = agent_cost_in(game, profile, &network, agent).total();
-    exact_best_response_given_current(game, profile, &network, agent, current)
+    BrSearch::new().best_response(game, profile, &network, agent, current)
 }
 
-/// [`exact_best_response`] in an already-built network `G(s)`, with the
-/// agent's current cost supplied by the caller. It rebuilds the whole
-/// search state (a CSR snapshot plus the bound table's Dijkstras) on
-/// every call: the oracle that [`BrBoundCache`] is checked against, and
-/// the rebuild baseline of the `br_grid` bench.
+/// The exact best response of `agent`: [`exact_best_response`] itself.
+/// The search is not split across the rayon pool because a split of the
+/// include/exclude tree lost to the sequential search at n = 16–24 on a
+/// two-thread pool.
+pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeId) -> BestResponse {
+    exact_best_response(game, profile, agent)
+}
+
+/// The optimistic-network search: the same candidate order, edge-cost
+/// term and screen as [`BrSearch`], but the live vector is relaxed
+/// through a [`DynamicSssp`] undo log over a CSR snapshot of the base
+/// graph, and the bound row takes its completions through the optimistic
+/// network `B* = base ∪ star(all candidates)`:
+/// `via[idx·n + x] = min_{i ≥ idx} (cand_w[i] + d_{B*}(candidates[i], x))`.
+/// `B*` is a supergraph of every reachable network, so the bound is
+/// admissible, but weaker than [`BrSearch`]'s (a `B*` path may return
+/// through the agent's star).
+struct BstarSearch<'g> {
+    game: &'g Game,
+    agent: NodeId,
+    n: usize,
+    csr: Csr,
+    candidates: Vec<NodeId>,
+    cand_w: Vec<f64>,
+    via: Vec<f64>,
+    inc: DynamicSssp,
+    tally: Tally,
+}
+
+impl<'g> BstarSearch<'g> {
+    fn new(game: &'g Game, agent: NodeId, base: &AdjacencyList) -> Self {
+        let n = game.n();
+        let (mut candidates, mut cand_w) = (Vec::new(), Vec::new());
+        sort_candidates(game, agent, &mut candidates, &mut cand_w);
+        let weight_class = game.weight_class();
+        let csr = Csr::from_adjacency(base);
+        let mut scratch = DijkstraScratch::new();
+        scratch.set_weight_class(weight_class);
+        scratch.run(&csr, agent, &[]);
+        let mut inc = DynamicSssp::new();
+        inc.set_weight_class(weight_class);
+        inc.reset_from(agent, &scratch.to_vec(n));
+
+        let mut bstar = base.clone();
+        for &v in &candidates {
+            if !bstar.has_edge(agent, v) {
+                bstar.add_edge(agent, v, game.w(agent, v));
+            }
+        }
+        let bstar_csr = Csr::from_adjacency(&bstar);
+        // Suffix-min bound table, built back to front.
+        let len = candidates.len();
+        let mut via = vec![f64::INFINITY; (len + 1) * n];
+        for i in (0..len).rev() {
+            scratch.run(&bstar_csr, candidates[i], &[]);
+            let (lo, hi) = (i * n, (i + 1) * n);
+            for x in 0..n {
+                let through = cand_w[i] + scratch.dist(x as NodeId);
+                via[lo + x] = through.min(via[hi + x]);
+            }
+        }
+        BstarSearch {
+            game,
+            agent,
+            n,
+            csr,
+            candidates,
+            cand_w,
+            via,
+            inc,
+            tally: Tally::default(),
+        }
+    }
+
+    fn dfs(&mut self, idx: usize, edge_w_sum: f64) {
+        self.tally.nodes += 1;
+        let dist_lb = dist_bound(self.inc.dist(), &self.via, idx);
+        let lb = lower_bound(self.game, &self.cand_w, idx, edge_w_sum, dist_lb);
+        if lb >= self.tally.best_cost - gncg_graph::EPS {
+            return;
+        }
+        let (v, w) = (self.candidates[idx], self.cand_w[idx]);
+        self.inc.add_edge(&self.csr, self.agent, v, w);
+        self.tally.include(v);
+        self.tally
+            .price(self.game, self.agent, edge_w_sum + w, self.inc.sum());
+        self.dfs(idx + 1, edge_w_sum + w);
+        self.tally.exclude_last();
+        self.inc.undo();
+        self.dfs(idx + 1, edge_w_sum);
+    }
+}
+
+/// [`exact_best_response`] through the optimistic-network search, which
+/// rebuilds its state (a CSR snapshot plus the `n + 1` Dijkstras of the
+/// `B*` bound table) and relaxes a [`DynamicSssp`] along the DFS: the
+/// oracle that debug builds check every [`BrSearch`] against, and the
+/// rebuild baseline of the `br_grid` bench. It returns the same strategy
+/// and cost bits as [`BrSearch::best_response`].
 ///
 /// `current` must equal `agent_cost_in(game, profile, network, agent)
 /// .total()` exactly (it seeds the incumbent, so a too-low value could
@@ -443,681 +648,21 @@ pub fn exact_best_response_given_current(
     current: f64,
 ) -> BestResponse {
     let base = base_graph_from(network, profile, agent);
-    let search = BrSearch::new(game, agent, &base);
-    let view = search.view();
-
-    let mut worker = BrWorker::fresh(&search, current, profile.strategy(agent));
+    let mut search = BstarSearch::new(game, agent, &base);
+    search
+        .tally
+        .reset(search.n, current, profile.strategy(agent));
     // The empty set is the one subset with no include step: price it here.
-    view.evaluate_current(&mut worker, 0.0);
-    view.dfs(&mut worker, 0, 0.0);
-
-    worker.take_result(current)
-}
-
-/// Fewest candidates (`n − 1`) for which [`exact_best_response_parallel`]
-/// actually splits. Below this the whole pruned DFS is tens of
-/// microseconds, so per-subtree incumbent re-seeding plus spawn overhead
-/// outweigh any core the split could recruit (`BENCH_hotpath.json`
-/// measured the split 15–30% *slower* at n = 12–16).
-pub const MIN_PARALLEL_CANDIDATES: usize = 18;
-
-/// Rayon-parallel exact best response: the include/exclude tree is split
-/// at the first `SPLIT_DEPTH` candidate decisions into `2^SPLIT_DEPTH`
-/// independent subtree searches that run on the rayon pool, each with its
-/// own incumbent seeded by the agent's current cost; results reduce to the
-/// global optimum. Produces exactly the same *cost* as
-/// [`exact_best_response`] (the strategy may differ among ties).
-///
-/// Splitting has a real cost even on a real pool: each subtree re-seeds
-/// its incumbent from the agent's current cost instead of sharing the
-/// global one, so the split prices leaves the shared-incumbent DFS would
-/// have pruned. Below [`MIN_PARALLEL_CANDIDATES`] candidates — or when
-/// the pool has a single thread — that overhead cannot be bought back,
-/// and this function runs the plain [`exact_best_response`] search
-/// inline, making it never slower than the sequential solver
-/// (`bench_snapshot.sh` asserts the relation at every measured `n`).
-pub fn exact_best_response_parallel(game: &Game, profile: &Profile, agent: NodeId) -> BestResponse {
-    use rayon::prelude::*;
-    const SPLIT_DEPTH: usize = 4;
-
-    let network = profile.build_network(game);
-    let current = agent_cost_in(game, profile, &network, agent).total();
-    // The candidate count is n − 1; check it before paying for the search
-    // state (the via table costs n Dijkstras) the sequential path would
-    // rebuild anyway.
-    if game.n().saturating_sub(1) < MIN_PARALLEL_CANDIDATES || rayon::current_num_threads() == 1 {
-        return exact_best_response_given_current(game, profile, &network, agent, current);
-    }
-    let base = base_graph_from(&network, profile, agent);
-    let search = BrSearch::new(game, agent, &base);
-    let view = search.view();
-
-    let split = SPLIT_DEPTH;
-    let results: Vec<(f64, BTreeSet<NodeId>, usize, usize)> = (0u32..(1 << split))
-        .into_par_iter()
-        .map(|prefix_mask| {
-            let mut worker = BrWorker::fresh(&search, current, profile.strategy(agent));
-            let mut edge_w_sum = 0.0;
-            for i in 0..split {
-                if prefix_mask & (1 << i) != 0 {
-                    let v = search.candidates[i];
-                    let w = search.cand_w[i];
-                    worker.inc.add_edge(&search.csr, agent, v, w);
-                    worker.chosen.push(v);
-                    worker.in_set[v as usize] = true;
-                    edge_w_sum += w;
-                }
-            }
-            // Each prefix set is a complete subset in exactly this task:
-            // price it before descending (subsets with includes past the
-            // split are priced at their last include inside the DFS).
-            view.evaluate_current(&mut worker, edge_w_sum);
-            view.dfs(&mut worker, split, edge_w_sum);
-            (
-                worker.best_cost,
-                worker.best_set,
-                worker.evaluated,
-                worker.nodes,
-            )
-        })
-        .collect();
-
-    let mut best_cost = current;
-    let mut best_set: BTreeSet<NodeId> = profile.strategy(agent).clone();
-    let mut evaluated = 0usize;
-    let mut nodes = 0usize;
-    for (c, s, e, k) in results {
-        evaluated += e;
-        nodes += k;
-        if strictly_less(c, best_cost) {
-            best_cost = c;
-            best_set = s;
-        }
-    }
-    BestResponse {
-        strategy: best_set,
-        cost: best_cost,
-        current_cost: current,
-        evaluated,
-        nodes,
-    }
-}
-
-/// Committed removals a [`BrBoundCache`] absorbs as bound staleness
-/// before its next activation triggers a full bound-table rebuild.
-///
-/// Each removal the cache leaves unrepaired keeps one *phantom* edge in
-/// the envelope graph its B\* vectors are exact for, which can only make
-/// the pruning bound *lower* — weaker pruning, never a wrong answer — so
-/// the budget trades rebuild Dijkstras against DFS nodes. The value is a
-/// plain constant, not a tuning surface: results are bitwise identical at
-/// any budget (see `tests/br_cache.rs`).
-pub const BR_STALENESS_BUDGET: usize = 16;
-
-/// Persistent per-agent branch-and-bound state for
-/// [`exact_best_response`]: the sorted candidate list, the exact base
-/// distances `d0`, and the per-candidate B\* distance vectors backing the
-/// suffix-min `via` bound table survive from activation to activation and
-/// are delta-maintained through the same committed `NetworkDelta` staging
-/// that keeps the dynamics engine's warm vectors alive — replacing the
-/// `n` full Dijkstras + CSR snapshots `BrSearch` pays per activation.
-///
-/// # What is exact and what is merely admissible
-///
-/// * **`base`/`d0` are exact.** `d0` seeds the DFS's live vector, whose
-///   sum *is* the reported cost of every evaluated subset, so it gets the
-///   warm-vector treatment: committed insertions replay lazily in one
-///   batched [`DynamicSssp::relax_inserts`] pass behind a cursor into the
-///   engine's insert log ([`BrBoundCache::flush_d0`], forced eagerly
-///   ahead of any removal), removals repair in place via
-///   [`DynamicSssp::remove_edges`], and ownership flips (an edge crossing
-///   the sole-owned boundary without any network change) are patched
-///   eagerly by the [`BrBoundCache::gain_co_owned`] /
-///   [`BrBoundCache::lose_co_owned`] hooks.
-///
-/// * **The B\* vectors only feed the pruning bound**, so they never need
-///   to track the true optimistic network exactly — but "stale yet
-///   admissible" is subtler than leaving removal repairs undone. A
-///   decrease-only insert replay into a vector that is merely *below*
-///   the truth can stop propagating at a stale-low node and leave some
-///   *other* node **above** the truth — an inadmissible bound. The cache
-///   therefore keeps every B\* vector **exact for the envelope graph**
-///   `Ĝ = B*(at last rebuild) ∪ {inserts since}`: insert replays stay on
-///   [`DynamicSssp::relax_inserts`]'s exactness contract, and removals
-///   simply *keep* the removed edge in `Ĝ` (a *phantom* edge). Since the
-///   true optimistic network `B* = network ∪ star(agent)` is always a
-///   subgraph of `Ĝ`, `d_Ĝ ≤ d_B*` pointwise and the bound stays
-///   admissible — each phantom edge just makes it lower, hence weaker.
-///   Past [`BR_STALENESS_BUDGET`] phantoms the next activation rebuilds
-///   the tables from scratch.
-///
-/// * **`B*` does not depend on the agent's own strategy** (`network ∪
-///   star(agent)` is invariant under the agent's own moves, and the
-///   agent's sole-owned edges are star edges already in `Ĝ`), so the
-///   agent's own purchases and drops touch neither `base` nor `Ĝ`.
-///
-/// Because weaker pruning evaluates a *superset* of the subsets the
-/// fresh search evaluates — all of them dominated within the search's
-/// `EPS` acceptance — the chosen strategy and its cost are **bitwise
-/// identical** to a fresh `BrSearch`, which stays resident as the
-/// debug oracle: every cached search re-derives the fresh tables under
-/// `debug_assertions`, asserts `d0` bitwise-equal, asserts the cached
-/// `via` bound admissible (≤ fresh) per node, and compares the chosen
-/// best response and cost bit for bit.
-#[derive(Debug)]
-pub struct BrBoundCache {
-    agent: NodeId,
-    built: bool,
-    n: usize,
-    /// Candidates sorted by increasing host weight from the agent
-    /// (game-fixed; recomputed only on rebuild).
-    candidates: Vec<NodeId>,
-    cand_w: Vec<f64>,
-    /// The agent's base graph (network minus its sole-owned edges),
-    /// maintained in lock-step with every committed delta.
-    base: AdjacencyList,
-    /// CSR snapshot of `base` for the DFS hot loop; rebuilt lazily when
-    /// `base` changed since the last search.
-    csr: Csr,
-    csr_dirty: bool,
-    /// Exact distances from the agent in `base`.
-    d0: DynamicSssp,
-    /// How many engine insert-log entries `d0` already reflects.
-    d0_synced: usize,
-    /// The envelope graph `Ĝ` the B\* vectors are exact for (see the
-    /// type docs): monotonically grown by insert replays, never shrunk.
-    ghat: AdjacencyList,
-    /// Edges of `Ĝ` no longer in the live network (normalized pairs) —
-    /// the staleness the budget counts.
-    phantom: Vec<(NodeId, NodeId)>,
-    /// Per-candidate B\* distance vectors (`bstar[i]` from source
-    /// `candidates[i]`), exact for `Ĝ`.
-    bstar: Vec<DynamicSssp>,
-    /// How many engine insert-log entries the B\* vectors reflect.
-    bstar_synced: usize,
-    /// Suffix-min bound table derived from `bstar` (same layout as
-    /// [`BrSearch::via`]); refreshed in one `O(n²)` pass when dirty.
-    via: Vec<f64>,
-    via_dirty: bool,
-    /// Reusable DFS worker (live vector, chosen stack, incumbent).
-    worker: BrWorker,
-    scratch: DijkstraScratch,
-    dist_buf: Vec<f64>,
-    batch: Vec<(NodeId, NodeId, f64)>,
-    weight_class: Option<(f64, f64)>,
-    /// The last search's `(current strategy, result)`, returned verbatim
-    /// when the agent is re-probed with **zero** intervening deltas — the
-    /// cache tracks every committed change exactly, so "no change since
-    /// the memo" means the query inputs are literally identical and the
-    /// previous answer is bitwise the fresh answer by definition. Killed
-    /// by every maintenance entry point; a hit additionally requires the
-    /// caller's `current` cost and strategy to match bit for bit.
-    memo: Option<(BTreeSet<NodeId>, BestResponse)>,
-}
-
-impl BrBoundCache {
-    /// An empty, unbuilt cache for `agent`; tables fill on first
-    /// [`BrBoundCache::ensure`].
-    pub fn new(agent: NodeId) -> Self {
-        BrBoundCache {
-            agent,
-            built: false,
-            n: 0,
-            candidates: Vec::new(),
-            cand_w: Vec::new(),
-            base: AdjacencyList::default(),
-            csr: Csr::from_adjacency(&AdjacencyList::default()),
-            csr_dirty: false,
-            d0: DynamicSssp::new(),
-            d0_synced: 0,
-            ghat: AdjacencyList::default(),
-            phantom: Vec::new(),
-            bstar: Vec::new(),
-            bstar_synced: 0,
-            via: Vec::new(),
-            via_dirty: false,
-            worker: BrWorker::new(),
-            scratch: DijkstraScratch::new(),
-            dist_buf: Vec::new(),
-            batch: Vec::new(),
-            weight_class: None,
-            memo: None,
-        }
-    }
-
-    /// The agent this cache prices best responses for.
-    pub fn agent(&self) -> NodeId {
-        self.agent
-    }
-
-    /// Whether the tables are resident (a fresh or invalidated cache
-    /// rebuilds on its next [`BrBoundCache::ensure`]).
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
-    /// Phantom edges currently absorbed as staleness — `0` right after a
-    /// rebuild, strictly `≤ BR_STALENESS_BUDGET` whenever a search runs.
-    pub fn stale_removals(&self) -> usize {
-        self.phantom.len()
-    }
-
-    /// Drops the tables (allocations survive for the next rebuild).
-    /// Called whenever the owning context can no longer describe the
-    /// committed delta stream precisely (context reset, raw deltas).
-    pub fn invalidate(&mut self) {
-        self.built = false;
-        self.memo = None;
-    }
-
-    /// Whether the last result is memoized and no delta has touched the
-    /// cache since — the next probe with an unchanged strategy and
-    /// current cost returns it without a search (test observability).
-    pub fn memo_is_warm(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// Bytes resident in the cache's tables — the B\* vectors dominate
-    /// (`n − 1` SSSP engines of `Θ(n)` floats each).
-    pub fn resident_bytes(&self) -> usize {
-        self.d0.resident_bytes()
-            + self
-                .bstar
-                .iter()
-                .map(DynamicSssp::resident_bytes)
-                .sum::<usize>()
-            + self.via.capacity() * std::mem::size_of::<f64>()
-            + self.phantom.capacity() * std::mem::size_of::<(NodeId, NodeId)>()
-    }
-
-    /// Makes the tables current for the live `network`: a full rebuild
-    /// when unbuilt or past the staleness budget, otherwise one lazy
-    /// replay of the pending committed-insert suffix into `d0` and the
-    /// B\* vectors.
-    pub fn ensure(
-        &mut self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        insert_log: &[(NodeId, NodeId, f64)],
-    ) {
-        if !self.built || self.phantom.len() > BR_STALENESS_BUDGET {
-            self.rebuild(game, profile, network, insert_log.len());
-            return;
-        }
-        self.flush_d0(insert_log);
-        self.sync_bstar(network, insert_log);
-    }
-
-    /// Rebuilds every table from the live network — the same
-    /// construction as [`BrSearch::new`], kept as the oracle path.
-    fn rebuild(&mut self, game: &Game, profile: &Profile, network: &AdjacencyList, log_len: usize) {
-        let n = game.n();
-        let agent = self.agent;
-        self.n = n;
-        self.weight_class = game.weight_class();
-        self.scratch.set_weight_class(self.weight_class);
-
-        self.candidates.clear();
-        self.candidates
-            .extend((0..n as NodeId).filter(|&v| v != agent));
-        self.candidates
-            .sort_by(|&a, &b| game.w(agent, a).total_cmp(&game.w(agent, b)));
-        self.cand_w.clear();
-        self.cand_w
-            .extend(self.candidates.iter().map(|&v| game.w(agent, v)));
-
-        self.base = base_graph_from(network, profile, agent);
-        self.csr = Csr::from_adjacency(&self.base);
-        self.csr_dirty = false;
-        self.scratch.run(&self.base, agent, &[]);
-        self.dist_buf.clear();
-        self.dist_buf.resize(n, f64::INFINITY);
-        self.scratch.write_distances(&mut self.dist_buf);
-        self.d0.set_weight_class(self.weight_class);
-        self.d0.reset_from(agent, &self.dist_buf);
-
-        // A fresh envelope graph is exactly the optimistic network:
-        // Ĝ = network ∪ star(agent) = base ∪ {(agent, c) ∀ candidates}.
-        self.ghat = network.clone();
-        for (i, &v) in self.candidates.iter().enumerate() {
-            if !self.ghat.has_edge(agent, v) {
-                self.ghat.add_edge(agent, v, self.cand_w[i]);
-            }
-        }
-        self.phantom.clear();
-
-        let len = self.candidates.len();
-        if self.bstar.len() < len {
-            self.bstar.resize_with(len, DynamicSssp::new);
-        }
-        for (i, &c) in self.candidates.iter().enumerate() {
-            self.scratch.run(&self.ghat, c, &[]);
-            self.dist_buf.clear();
-            self.dist_buf.resize(n, f64::INFINITY);
-            self.scratch.write_distances(&mut self.dist_buf);
-            self.bstar[i].set_weight_class(self.weight_class);
-            self.bstar[i].reset_from(c, &self.dist_buf);
-        }
-        self.rebuild_via();
-
-        self.d0_synced = log_len;
-        self.bstar_synced = log_len;
-        self.built = true;
-        self.memo = None;
-    }
-
-    /// Refreshes the suffix-min `via` table from the resident B\*
-    /// vectors — the same back-to-front fold as [`BrSearch::new`], so a
-    /// phantom-free cache reproduces the fresh table bit for bit.
-    fn rebuild_via(&mut self) {
-        let n = self.n;
-        let len = self.candidates.len();
-        self.via.clear();
-        self.via.resize((len + 1) * n, f64::INFINITY);
-        for i in (0..len).rev() {
-            let dist = self.bstar[i].dist();
-            let w = self.cand_w[i];
-            let lo = i * n;
-            // Row `i` folds over row `i + 1`, laid out right behind it.
-            let (row, next) = self.via[lo..lo + 2 * n].split_at_mut(n);
-            for ((slot, &d), &suffix) in row.iter_mut().zip(dist).zip(next.iter()) {
-                *slot = (w + d).min(suffix);
-            }
-        }
-        self.via_dirty = false;
-    }
-
-    /// Replays the pending committed-insert suffix into `d0`. Every
-    /// pending entry present in `base` replays (entries absent from
-    /// `base` are the agent's own sole-owned purchases, which the base
-    /// graph excludes by definition — their log entries are skipped
-    /// forever). The owning context must call this **before** a removal
-    /// mutates the network: pending inserts replay against a base graph
-    /// that still holds every edge about to go, the exactness contract
-    /// of [`DynamicSssp::relax_inserts`].
-    pub fn flush_d0(&mut self, insert_log: &[(NodeId, NodeId, f64)]) {
-        if !self.built || self.d0_synced >= insert_log.len() {
-            return;
-        }
-        self.memo = None;
-        self.batch.clear();
-        for &(a, b, w) in &insert_log[self.d0_synced..] {
-            if self.base.has_edge(a, b) {
-                self.batch.push((a, b, w));
-            }
-        }
-        if !self.batch.is_empty() {
-            self.d0.relax_inserts(&self.base, &self.batch);
-        }
-        self.d0_synced = insert_log.len();
-    }
-
-    /// Lazily replays pending committed inserts into the B\* vectors:
-    /// each genuinely new edge enters the envelope graph `Ĝ` and is
-    /// relaxed — exactly — into every resident vector in one batch; an
-    /// edge `Ĝ` kept through an interim removal merely stops being
-    /// phantom (the vectors are already exact for it).
-    fn sync_bstar(&mut self, network: &AdjacencyList, insert_log: &[(NodeId, NodeId, f64)]) {
-        if self.bstar_synced >= insert_log.len() {
-            return;
-        }
-        self.memo = None;
-        self.batch.clear();
-        for &(a, b, w) in &insert_log[self.bstar_synced..] {
-            if a == self.agent || b == self.agent {
-                // Star edges are permanently in Ĝ at the same host
-                // weight; the replay would be a no-op.
-                continue;
-            }
-            if !network.has_edge(a, b) {
-                // Inserted and removed again between syncs: the edge
-                // never entered Ĝ (its removal pushed no phantom).
-                continue;
-            }
-            let key = (a.min(b), a.max(b));
-            if self.ghat.has_edge(a, b) {
-                self.phantom.retain(|&p| p != key);
-                continue;
-            }
-            self.ghat.add_edge(a, b, w);
-            self.batch.push((a, b, w));
-        }
-        if !self.batch.is_empty() {
-            let len = self.candidates.len();
-            for inc in &mut self.bstar[..len] {
-                inc.relax_inserts(&self.ghat, &self.batch);
-            }
-            self.via_dirty = true;
-        }
-        self.bstar_synced = insert_log.len();
-    }
-
-    /// Notes a committed edge-insertion batch by `mover` (the edges are
-    /// live in the network). Base bookkeeping is eager and `O(1)` per
-    /// edge; the SSSP repairs stay lazy behind the cursors. A batch by
-    /// the cache's own agent is sole-owned by construction — outside the
-    /// base graph, already in `Ĝ` as star edges — and is a no-op.
-    pub fn on_inserts(&mut self, inserts: &[(NodeId, NodeId, f64)], mover: NodeId) {
-        if !self.built || mover == self.agent {
-            return;
-        }
-        self.memo = None;
-        for &(a, b, w) in inserts {
-            if !self.base.has_edge(a, b) {
-                self.base.add_edge(a, b, w);
-                self.csr_dirty = true;
-            }
-        }
-    }
-
-    /// Notes committed removals by `mover`, already applied to the
-    /// network; [`BrBoundCache::flush_d0`] must have run first. `d0` is
-    /// repaired exactly in one batched affected-region pass; the B\*
-    /// vectors instead keep each removed edge in `Ĝ` as a phantom
-    /// (admissible staleness — see the type docs). A batch by the
-    /// cache's own agent is a no-op (sole-owned drops were never in the
-    /// base graph, and their star edges legitimately stay in `Ĝ`).
-    pub fn on_removals(&mut self, removed: &[(NodeId, NodeId, f64)], mover: NodeId) {
-        if !self.built || mover == self.agent {
-            return;
-        }
-        self.memo = None;
-        self.batch.clear();
-        for &(a, b, w) in removed {
-            if self.base.remove_edge(a, b) {
-                self.batch.push((a, b, w));
-                self.csr_dirty = true;
-            }
-            if a != self.agent && b != self.agent && self.ghat.has_edge(a, b) {
-                let key = (a.min(b), a.max(b));
-                if !self.phantom.contains(&key) {
-                    self.phantom.push(key);
-                }
-            }
-        }
-        if !self.batch.is_empty() {
-            self.d0.remove_edges(&self.base, &self.batch);
-        }
-    }
-
-    /// The mover just bought an edge the cache's agent already owned:
-    /// `(agent, other)` was sole-owned (outside the base graph) and is
-    /// now co-owned (inside it). No network edge moved, so only this
-    /// cache's base/`d0` change; `Ĝ` holds the star edge either way.
-    pub fn gain_co_owned(&mut self, other: NodeId, w: f64, insert_log: &[(NodeId, NodeId, f64)]) {
-        if !self.built {
-            return;
-        }
-        self.memo = None;
-        // Pending inserts replay first, against the base graph *without*
-        // the flip edge (the graph d0 is exact for, minus the pending
-        // batch); only then does the flip edge enter and relax.
-        self.flush_d0(insert_log);
-        if !self.base.has_edge(self.agent, other) {
-            self.base.add_edge(self.agent, other, w);
-            self.csr_dirty = true;
-            self.d0.relax_inserts(&self.base, &[(self.agent, other, w)]);
-        }
-    }
-
-    /// The mover just dropped its copy of an edge the cache's agent
-    /// still owns: `(agent, other)` was co-owned (inside the base graph)
-    /// and is now sole-owned (outside it). The mirror image of
-    /// [`BrBoundCache::gain_co_owned`].
-    pub fn lose_co_owned(&mut self, other: NodeId, w: f64, insert_log: &[(NodeId, NodeId, f64)]) {
-        if !self.built {
-            return;
-        }
-        self.memo = None;
-        // Pending inserts replay while the base graph still holds the
-        // flip edge; the exact removal repair follows.
-        self.flush_d0(insert_log);
-        if self.base.remove_edge(self.agent, other) {
-            self.csr_dirty = true;
-            self.d0.remove_edges(&self.base, &[(self.agent, other, w)]);
-        }
-    }
-
-    /// The exact best response off the resident tables — the same DFS as
-    /// [`exact_best_response_given_current`], minus its per-activation
-    /// CSR snapshots and `n + 1` Dijkstras; a re-probe with zero
-    /// intervening deltas skips the DFS too and returns the memoized
-    /// result (identical inputs, identical answer). Requires a prior
-    /// [`BrBoundCache::ensure`] against the same network and insert log;
-    /// `current` must be the agent's exact current cost (it seeds the
-    /// incumbent). Under `debug_assertions` every call re-derives the
-    /// fresh tables and asserts bound admissibility per node plus a
-    /// bitwise-equal chosen strategy and cost.
-    pub fn best_response(
-        &mut self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        current: f64,
-    ) -> BestResponse {
-        debug_assert!(self.built, "best_response on an unbuilt BrBoundCache");
-        // Memo hit: no delta has touched the cache since the last search
-        // and the query (current strategy + exact current cost) is bit
-        // for bit the same, so the inputs of the search are literally
-        // identical and the previous result *is* the fresh result. The
-        // debug oracle below still re-derives and checks it.
-        let memoized = self
-            .memo
-            .as_ref()
-            .filter(|(set, prev)| {
-                prev.current_cost.to_bits() == current.to_bits()
-                    && set == profile.strategy(self.agent)
-            })
-            .map(|(_, prev)| prev.clone());
-        if let Some(result) = memoized {
-            #[cfg(debug_assertions)]
-            self.assert_matches_fresh(game, profile, network, current, &result);
-            #[cfg(not(debug_assertions))]
-            let _ = network;
-            return result;
-        }
-        if self.csr_dirty {
-            self.csr = Csr::from_adjacency(&self.base);
-            self.csr_dirty = false;
-        }
-        if self.via_dirty {
-            self.rebuild_via();
-        }
-        let worker = &mut self.worker;
-        worker.reset(
-            self.agent,
-            self.n,
-            self.d0.dist(),
-            self.weight_class,
-            current,
-            profile.strategy(self.agent),
-        );
-        let view = BrSearchView {
-            game,
-            agent: self.agent,
-            n: self.n,
-            csr: &self.csr,
-            candidates: &self.candidates,
-            cand_w: &self.cand_w,
-            via: &self.via,
-        };
-        view.evaluate_current(worker, 0.0);
-        view.dfs(worker, 0, 0.0);
-        let result = worker.take_result(current);
-        #[cfg(debug_assertions)]
-        self.assert_matches_fresh(game, profile, network, current, &result);
-        #[cfg(not(debug_assertions))]
-        let _ = network;
-        self.memo = Some((profile.strategy(self.agent).clone(), result.clone()));
-        result
-    }
-
-    /// The PR 4–5 oracle: rebuild the per-activation search state from
-    /// scratch and require (a) the lock-step base graph, (b) a bitwise
-    /// `d0`, (c) per-node bound admissibility (cached `via` ≤ fresh
-    /// `via` — the fresh bound is the exact optimistic distance, so `≤`
-    /// *is* admissibility), and (d) a bitwise-identical chosen strategy
-    /// and cost.
-    #[cfg(debug_assertions)]
-    fn assert_matches_fresh(
-        &self,
-        game: &Game,
-        profile: &Profile,
-        network: &AdjacencyList,
-        current: f64,
-        got: &BestResponse,
-    ) {
-        let fresh_base = base_graph_from(network, profile, self.agent);
-        let mut a: Vec<_> = self.base.edges().collect();
-        let mut b: Vec<_> = fresh_base.edges().collect();
-        a.sort_by_key(|e| (e.0, e.1));
-        b.sort_by_key(|e| (e.0, e.1));
-        assert_eq!(
-            a, b,
-            "BrBoundCache base graph of agent {} drifted from base_graph_from",
-            self.agent
-        );
-        let search = BrSearch::new(game, self.agent, &fresh_base);
-        assert_eq!(
-            self.d0.dist(),
-            search.d0.as_slice(),
-            "BrBoundCache d0 of agent {} drifted from a fresh Dijkstra",
-            self.agent
-        );
-        assert_eq!(self.via.len(), search.via.len());
-        for (i, (&cached, &fresh)) in self.via.iter().zip(search.via.iter()).enumerate() {
-            assert!(
-                cached <= fresh,
-                "inadmissible cached bound for agent {}: via[{}] = {} > fresh {}",
-                self.agent,
-                i,
-                cached,
-                fresh
-            );
-        }
-        let view = search.view();
-        let mut worker = BrWorker::fresh(&search, current, profile.strategy(self.agent));
-        view.evaluate_current(&mut worker, 0.0);
-        view.dfs(&mut worker, 0, 0.0);
-        assert_eq!(
-            got.strategy, worker.best_set,
-            "cached best response of agent {} diverged from a fresh BrSearch",
-            self.agent
-        );
-        assert_eq!(
-            got.cost.to_bits(),
-            worker.best_cost.to_bits(),
-            "cached best-response cost of agent {} diverged from a fresh BrSearch",
-            self.agent
-        );
-    }
+    let d0_sum = search.inc.sum();
+    search.tally.price(game, agent, 0.0, d0_sum);
+    search.dfs(0, 0.0);
+    search.tally.result(current)
 }
 
 /// The historical from-scratch engine: one Dijkstra per leaf, pruned only
 /// by the static host-closure bound. Kept as the equivalence oracle for
-/// the incremental engine (the `br_equivalence` proptests) and as the
-/// baseline the `best_response` bench measures speedups against.
+/// the branch-and-bound searches (the `br_equivalence` proptests) and as
+/// the baseline the `best_response` bench measures speedups against.
 pub fn exact_best_response_reference(
     game: &Game,
     profile: &Profile,
@@ -1699,7 +1244,7 @@ mod tests {
 
     #[test]
     fn incremental_matches_reference_cost_exactly() {
-        // Bit-for-bit equivalence of the incremental engine against the
+        // Bit-for-bit equivalence of the facility-location search against the
         // historical from-scratch engine, across α regimes.
         for seed in 0..4u64 {
             let host = gncg_metrics::arbitrary::random_metric(8, 1.0, 4.0, seed);
@@ -1956,12 +1501,14 @@ mod tests {
                 let seq = exact_best_response(&game, &p, agent);
                 let par = exact_best_response_parallel(&game, &p, agent);
                 assert_eq!(
-                    seq.cost, par.cost,
+                    seq.cost.to_bits(),
+                    par.cost.to_bits(),
                     "agent {agent} seed {seed}: {} vs {}",
-                    seq.cost, par.cost
+                    seq.cost,
+                    par.cost
                 );
                 assert_eq!(seq.current_cost, par.current_cost);
-                // The parallel strategy must achieve its reported cost.
+                // The strategy must achieve its reported cost.
                 let mut p2 = p.clone();
                 p2.set_strategy(agent, par.strategy.clone());
                 let real = crate::cost::agent_cost(&game, &p2, agent).total();
@@ -2070,10 +1617,11 @@ mod tests {
         assert!(!screen_may_improve(10.0, 5.0, 5));
     }
 
-    /// The branch-and-bound bound and the pricing screen against brute
-    /// force on every registered host family (∞ weights included), from
-    /// sparse, often disconnected starting profiles, at α well below and
-    /// well above the host's edge-weight scale.
+    /// The facility-location tables, the bound and the pricing screen
+    /// against brute force and against the optimistic-network oracle, on
+    /// every registered host family (∞ weights included), from sparse,
+    /// often disconnected starting profiles, at α well below and well
+    /// above the host's edge-weight scale.
     mod bound_props {
         use super::*;
         use proptest::prelude::*;
@@ -2126,74 +1674,122 @@ mod tests {
                 })
         }
 
-        /// Exact price of every subset of the candidates, indexed by its
-        /// bitmask over candidate positions.
-        fn subset_costs(search: &BrSearch<'_>, base: &AdjacencyList) -> Vec<f64> {
-            let len = search.candidates.len();
+        /// The search with its tables built for the instance (no DFS run).
+        fn built(game: &Game, p: &Profile, agent: NodeId) -> BrSearch {
+            let mut search = BrSearch::new();
+            search.build(game, p, &p.build_network(game), agent);
+            search
+        }
+
+        /// Every subset of the candidates, indexed by its bitmask over
+        /// candidate positions, priced two ways: exactly (a from-scratch
+        /// [`candidate_cost`]), and with the edge sum in DFS order (the
+        /// screened price, whose distance term is the same Dijkstra sum).
+        fn subset_prices(
+            game: &Game,
+            t: &BrTables,
+            base: &AdjacencyList,
+            agent: NodeId,
+        ) -> (Vec<f64>, Vec<f64>) {
+            let len = t.candidates.len();
             (0..1usize << len)
                 .map(|mask| {
                     let set: BTreeSet<NodeId> = (0..len)
                         .filter(|&i| mask & (1 << i) != 0)
-                        .map(|i| search.candidates[i])
+                        .map(|i| t.candidates[i])
                         .collect();
-                    candidate_cost(search.game, base, search.agent, &set).total()
+                    let c = candidate_cost(game, base, agent, &set);
+                    let mut dfs_sum = 0.0;
+                    for i in (0..len).filter(|&i| mask & (1 << i) != 0) {
+                        dfs_sum += t.cand_w[i];
+                    }
+                    (c.total(), game.alpha() * dfs_sum + c.distance_cost)
                 })
-                .collect()
+                .unzip()
         }
 
-        /// Walks the whole include/exclude tree without pruning, checking
-        /// the bound at every node against the cheapest subset it prunes,
-        /// and the screen on every set the DFS would price.
+        /// Walks the whole include/exclude tree without pruning. At every
+        /// node the bound must be at most the screened price of every
+        /// subset below it, with no slack; every stacked row must price its
+        /// set bit for bit as a from-scratch Dijkstra; and the screen must
+        /// pass every set whose exact price could replace any incumbent.
+        #[allow(clippy::too_many_arguments)]
         fn walk(
-            view: &BrSearchView<'_>,
+            game: &Game,
+            t: &BrTables,
             worker: &mut BrWorker,
-            costs: &[f64],
+            prices: &(Vec<f64>, Vec<f64>),
             idx: usize,
+            depth: usize,
             mask: usize,
             edge_w_sum: f64,
         ) {
-            let len = view.candidates.len();
+            let (exact, screened) = prices;
+            let (n, len) = (t.n, t.candidates.len());
             // The node's unpriced subtree: `mask ∪ T` for non-empty `T`
             // over candidate positions `idx..len`.
             let free = ((1usize << len) - 1) & !((1usize << idx) - 1);
             let mut below = f64::INFINITY;
-            let mut t = free;
-            while t != 0 {
-                below = below.min(costs[mask | t]);
-                t = (t - 1) & free;
+            let mut sub = free;
+            while sub != 0 {
+                below = below.min(screened[mask | sub]);
+                sub = (sub - 1) & free;
             }
-            let lb = view.lower_bound(worker, idx, edge_w_sum);
-            // Summation order alone separates the bound from a tight price.
+            let row = &worker.stack[depth * n..(depth + 1) * n];
+            let lb = lower_bound(
+                game,
+                &t.cand_w,
+                idx,
+                edge_w_sum,
+                dist_bound(row, &t.via, idx),
+            );
             assert!(
-                lb <= below * (1.0 + 1e-12),
+                lb <= below,
                 "inadmissible bound at depth {idx}, set {mask:b}: {lb} > {below}"
             );
             if idx == len {
                 return;
             }
-            let (v, w) = (view.candidates[idx], view.cand_w[idx]);
-            worker.inc.add_edge(view.csr, view.agent, v, w);
+            let w = t.cand_w[idx];
+            let exc_want = dist_bound(row, &t.via, idx + 1);
+            let (dist_sum, inc_lb, exc_lb) = worker.include(t, idx, depth);
+            // The fused pass yields the children's bounds bit for bit.
+            let new_row = &worker.stack[(depth + 1) * n..(depth + 2) * n];
+            assert_eq!(
+                inc_lb.to_bits(),
+                dist_bound(new_row, &t.via, idx + 1).to_bits()
+            );
+            assert_eq!(exc_lb.to_bits(), exc_want.to_bits());
             let child = mask | 1 << idx;
-            let screened = view.game.alpha() * (edge_w_sum + w) + worker.inc.sum();
-            let exact = costs[child];
-            if exact.is_finite() {
-                let mut incumbent = exact + gncg_graph::EPS;
-                while !strictly_less(exact, incumbent) {
+            let price = game.alpha() * (edge_w_sum + w) + dist_sum;
+            assert_eq!(price.to_bits(), screened[child].to_bits(), "set {child:b}");
+            if exact[child].is_finite() {
+                let mut incumbent = exact[child] + gncg_graph::EPS;
+                while !strictly_less(exact[child], incumbent) {
                     incumbent = incumbent.next_up();
                 }
-                assert!(screen_may_improve(screened, incumbent, view.n));
+                assert!(screen_may_improve(price, incumbent, n));
             }
-            assert!(screen_may_improve(screened, f64::INFINITY, view.n) == exact.is_finite());
-            walk(view, worker, costs, idx + 1, child, edge_w_sum + w);
-            worker.inc.undo();
-            walk(view, worker, costs, idx + 1, mask, edge_w_sum);
+            assert!(screen_may_improve(price, f64::INFINITY, n) == exact[child].is_finite());
+            walk(
+                game,
+                t,
+                worker,
+                prices,
+                idx + 1,
+                depth + 1,
+                child,
+                edge_w_sum + w,
+            );
+            worker.tally.exclude_last();
+            walk(game, t, worker, prices, idx + 1, depth, mask, edge_w_sum);
         }
 
         /// The search's answer with pruning and screening switched off:
         /// every subset priced exactly, in the DFS's own visit order,
         /// against the same strictly-less incumbent rule.
         fn unpruned_answer(
-            search: &BrSearch<'_>,
+            t: &BrTables,
             costs: &[f64],
             current: f64,
             current_set: &BTreeSet<NodeId>,
@@ -2209,7 +1805,7 @@ mod tests {
                 visit(costs, len, idx + 1, child, best);
                 visit(costs, len, idx + 1, mask, best);
             }
-            let len = search.candidates.len();
+            let len = t.candidates.len();
             let mut best = (current, usize::MAX);
             if strictly_less(costs[0], best.0) {
                 best = (costs[0], 0);
@@ -2220,48 +1816,87 @@ mod tests {
             } else {
                 (0..len)
                     .filter(|&i| best.1 & (1 << i) != 0)
-                    .map(|i| search.candidates[i])
+                    .map(|i| t.candidates[i])
                     .collect()
             };
             (best.0, set)
         }
 
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|d| d.to_bits()).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(120))]
 
-            /// At every DFS node the bound is at most the brute-force
-            /// minimum over the node's subtree (the node's own, already
-            /// priced set excluded), and the screen passes every set
-            /// whose exact price could replace any incumbent.
+            /// At every DFS node the bound is at most the screened price
+            /// of every subset below it (the node's own, already priced
+            /// set excluded) with no slack, and the screen passes every
+            /// set whose exact price could replace any incumbent.
             #[test]
             fn bound_is_admissible_at_every_node(inst in instance()) {
                 let (game, p, agent) = inst;
                 let base = base_graph_without(&game, &p, agent);
-                let search = BrSearch::new(&game, agent, &base);
-                let costs = subset_costs(&search, &base);
+                let mut search = built(&game, &p, agent);
+                let prices = subset_prices(&game, &search.tables, &base, agent);
                 let current = agent_cost_in(&game, &p, &p.build_network(&game), agent).total();
-                let mut worker = BrWorker::fresh(&search, current, p.strategy(agent));
-                walk(&search.view(), &mut worker, &costs, 0, 0, 0.0);
+                search.worker.reset(&search.tables, current, p.strategy(agent));
+                walk(&game, &search.tables, &mut search.worker, &prices, 0, 0, 0, 0.0);
             }
 
-            /// The pruned, screened search returns bit for bit what an
-            /// exhaustive pricing in the same visit order returns, and
-            /// the same cost bits as the reference engine. The strategies
-            /// of the two engines can differ on exact ties: the reference
-            /// prices leaves, so it meets `{c, d}` before `{c}`, while
-            /// this search prices `{c}` first.
+            /// `min(d0, min_{v∈S} c_v)` is bitwise the vector a
+            /// `DynamicSssp` reaches by relaxing the bought edges of `S`
+            /// one by one into the base graph's distances.
+            #[test]
+            fn stacked_minimum_equals_dynamic_sssp(
+                inst in instance(),
+                picks in proptest::collection::vec(proptest::bool::ANY, 9),
+            ) {
+                let (game, p, agent) = inst;
+                let search = built(&game, &p, agent);
+                let t = &search.tables;
+                let base = base_graph_without(&game, &p, agent);
+                let csr = Csr::from_adjacency(&base);
+                let mut inc = DynamicSssp::new();
+                inc.reset_from(agent, &gncg_graph::dijkstra::dijkstra(&base, agent));
+                let mut row = t.d0.clone();
+                prop_assert_eq!(bits(&row), bits(inc.dist()));
+                for (i, (&v, &w)) in t.candidates.iter().zip(&t.cand_w).enumerate() {
+                    if picks[i] {
+                        inc.add_edge(&csr, agent, v, w);
+                        for (x, d) in row.iter_mut().enumerate() {
+                            *d = d.min(t.reach[i * t.n + x]);
+                        }
+                        prop_assert_eq!(bits(&row), bits(inc.dist()), "after buying {}", v);
+                    }
+                }
+            }
+
+            /// The facility-location search returns bit for bit what the
+            /// optimistic-network oracle returns (strategy and cost), and
+            /// what an exhaustive pricing in the same visit order returns;
+            /// its cost bits equal the reference engine's. The strategies
+            /// of the reference can differ on exact ties: it prices
+            /// leaves, so it meets `{c, d}` before `{c}`, while the
+            /// branch-and-bound searches price `{c}` first.
             #[test]
             fn exact_br_matches_exhaustive_and_reference(inst in instance()) {
                 let (game, p, agent) = inst;
+                let network = p.build_network(&game);
+                let current = agent_cost_in(&game, &p, &network, agent).total();
+                let br = BrSearch::new().best_response(&game, &p, &network, agent, current);
+                let oracle = exact_best_response_given_current(&game, &p, &network, agent, current);
+                prop_assert_eq!(&br.strategy, &oracle.strategy);
+                prop_assert_eq!(br.cost.to_bits(), oracle.cost.to_bits());
+
                 let base = base_graph_without(&game, &p, agent);
-                let search = BrSearch::new(&game, agent, &base);
-                let costs = subset_costs(&search, &base);
-                let br = exact_best_response(&game, &p, agent);
-                let (cost, set) = unpruned_answer(&search, &costs, br.current_cost, p.strategy(agent));
+                let search = built(&game, &p, agent);
+                let (costs, _) = subset_prices(&game, &search.tables, &base, agent);
+                let (cost, set) = unpruned_answer(&search.tables, &costs, current, p.strategy(agent));
                 prop_assert_eq!(br.cost.to_bits(), cost.to_bits());
                 prop_assert_eq!(&br.strategy, &set);
                 let refr = exact_best_response_reference(&game, &p, agent);
-                prop_assert_eq!(br.current_cost.to_bits(), refr.current_cost.to_bits());
+                prop_assert_eq!(current.to_bits(), refr.current_cost.to_bits());
                 prop_assert_eq!(br.cost.to_bits(), refr.cost.to_bits());
                 prop_assert!(br.nodes >= 1 && br.evaluated >= 1);
             }

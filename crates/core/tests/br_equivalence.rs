@@ -1,6 +1,6 @@
-//! Equivalence properties of the incremental best-response engine.
+//! Equivalence properties of the exact best-response search.
 //!
-//! The incremental branch-and-bound (`exact_best_response`) must return
+//! The facility-location branch-and-bound (`exact_best_response`) must return
 //! costs *identical* to the historical from-scratch engine
 //! (`exact_best_response_reference`) on arbitrary metric hosts across α
 //! regimes — both engines take exact minima over the same candidate space
@@ -66,8 +66,8 @@ proptest! {
         prop_assert!(gncg_graph::approx_eq(real, inc.cost));
     }
 
-    /// The parallel split search agrees with the sequential incremental
-    /// engine on cost (strategies may differ among exact ties).
+    /// The parallel entry point agrees with the sequential search on
+    /// cost.
     #[test]
     fn parallel_br_matches_sequential(g in game(7), p in profile(7), agent in 0u32..7) {
         let seq = exact_best_response(&g, &p, agent);

@@ -49,17 +49,22 @@
 //!   candidate *speculatively against the activated agent's warm vector*
 //!   (apply the move's edge delta inside a speculation frame, read the
 //!   cost off the warm sum, roll back — [`best_move_among_speculative`]);
-//! * exact-best-response activations search off the agent's persistent
-//!   bound tables ([`BrBoundCache`]), delta-maintained through the same
-//!   committed-delta staging as the warm vectors.
+//! * exact-best-response activations run the facility-location search
+//!   [`BrSearch`] in a per-agent slot that keeps its buffers and a memo:
+//!   the search tables are built fresh from the cached network on every
+//!   search, and a probe with no committed move since the agent's last
+//!   search returns the stored result. The memo is keyed on a move
+//!   counter that every committed move, raw [`EvalContext::apply_delta`]
+//!   and [`EvalContext::reset`] bump, and is checked against the agent's
+//!   current cost, so nothing else needs maintaining.
 //!
 //! So every activation takes exactly one path: the speculative scan for
-//! the greedy and add rules, the bound tables for the exact best
-//! response, and in-place repair for removals. The slow ancestors live
-//! on only as checkers and bench baselines, never as a runtime choice:
-//! the masked from-scratch scan
+//! the greedy and add rules, [`BrSearch`] for the exact best response,
+//! and in-place repair for removals. The slow ancestors live on only as
+//! checkers and bench baselines, never as a runtime choice: the masked
+//! from-scratch scan
 //! [`best_move_among_given_current`](gncg_core::response::best_move_among_given_current)
-//! and the rebuild-per-activation search
+//! and the optimistic-network search
 //! [`exact_best_response_given_current`](gncg_core::response::exact_best_response_given_current),
 //! and a fresh context (one Dijkstra per agent) in place of a repair.
 //!
@@ -76,7 +81,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use gncg_core::response::{best_move_among_speculative, BrBoundCache, SpeculativePricing};
+use gncg_core::response::{
+    best_move_among_speculative, BestResponse, BrSearch, SpeculativePricing,
+};
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_graph::{AdjacencyList, DijkstraScratch, DynamicSssp, NetworkDelta};
 
@@ -344,14 +351,25 @@ pub struct EvalContext {
     /// on the context's scratch and every warm vector at
     /// [`EvalContext::reset`] (`Game::weight_class`).
     weight_class: Option<(f64, f64)>,
-    /// Per-agent persistent branch-and-bound bound tables for
-    /// [`ResponseRule::ExactBestResponse`] ([`BrBoundCache`]); built
-    /// lazily on an agent's first BR activation, invalidated on
-    /// [`EvalContext::reset`] and raw [`EvalContext::apply_delta`] calls,
-    /// and delta-maintained through
-    /// [`EvalContext::apply_strategy_change`] otherwise. Boxed:
-    /// the tables are `Θ(n²)` floats, absent entirely for non-BR runs.
-    br: Vec<Option<Box<BrBoundCache>>>,
+    /// Per-agent exact best-response slots ([`BrSlot`]), created on an
+    /// agent's first BR activation. Boxed: the buffers are `Θ(n²)` floats,
+    /// absent entirely for non-BR runs.
+    br: Vec<Option<Box<BrSlot>>>,
+    /// Bumped by every change to the network or to the run the context
+    /// describes (each [`EvalContext::apply_delta`] path and
+    /// [`EvalContext::reset`]): the key of the BR memos.
+    commits: u64,
+}
+
+/// An agent's exact best-response slot: the reusable buffers of its
+/// [`BrSearch`] and its last result, stored with the context's move
+/// counter at the time. A probe at the same counter value and the same
+/// current cost faces the same network and profile, so the stored result
+/// *is* the fresh one.
+#[derive(Debug, Default)]
+struct BrSlot {
+    search: BrSearch,
+    memo: Option<(u64, BestResponse)>,
 }
 
 impl EvalContext {
@@ -384,15 +402,11 @@ impl EvalContext {
         self.insert_log.clear();
         self.synced.clear();
         self.synced.resize(n, 0);
-        // BR bound tables cannot survive a re-target (the committed-delta
-        // stream they were maintained through ended with the old run);
-        // they rebuild on their owner's first BR activation.
         if self.br.len() < n {
             self.br.resize_with(n, || None);
         }
-        for cache in self.br.iter_mut().flatten() {
-            cache.invalidate();
-        }
+        // A re-target outdates every BR memo.
+        self.commits += 1;
     }
 
     /// The current network.
@@ -411,22 +425,14 @@ impl EvalContext {
         self.pricing = pricing;
     }
 
-    /// Agent `u`'s persistent BR bound tables, when they exist — an
-    /// observability read (tests assert the staleness bookkeeping, the
-    /// service reports resident bytes). `None` until `u`'s first BR
-    /// activation.
-    pub fn br_cache(&self, u: NodeId) -> Option<&BrBoundCache> {
-        self.br.get(u as usize).and_then(|slot| slot.as_deref())
-    }
-
-    /// Bytes resident in the persistent BR bound tables across all agents
-    /// (`0` unless a BR-rule run built them) — the `Θ(n²)`-per-agent
-    /// companion figure to [`EvalContext::warm_resident_bytes`].
+    /// Bytes resident in the per-agent BR search buffers (`0` unless a
+    /// BR-rule run created them) — the `Θ(n²)`-per-agent companion figure
+    /// to [`EvalContext::warm_resident_bytes`].
     pub fn br_resident_bytes(&self) -> usize {
         self.br
             .iter()
             .flatten()
-            .map(|c| c.resident_bytes())
+            .map(|slot| slot.search.resident_bytes())
             .sum::<usize>()
     }
 
@@ -459,7 +465,7 @@ impl EvalContext {
             game,
             profile,
             &self.network,
-            &self.insert_log,
+            self.commits,
             &mut self.warm[i],
             &mut self.br[i],
             u,
@@ -472,8 +478,8 @@ impl EvalContext {
     /// one pool pass behind [`Scheduler::MaxGain`] and the
     /// [`RegretMeter`]. All vectors are warmed first (itself
     /// pool-parallel); then each worker owns exactly its agent's warm
-    /// vector and BR tables, so the pass is bitwise deterministic at
-    /// every thread count.
+    /// vector and BR slot, so the pass is bitwise deterministic at every
+    /// thread count.
     fn pool_changes(
         &mut self,
         game: &Game,
@@ -483,7 +489,7 @@ impl EvalContext {
         use rayon::prelude::*;
         self.ensure_all_warm();
         let n = game.n();
-        let (network, log, pricing) = (&self.network, &self.insert_log, self.pricing);
+        let (network, commits, pricing) = (&self.network, self.commits, self.pricing);
         let mut slots: Vec<_> = self.warm[..n].iter_mut().zip(&mut self.br[..n]).collect();
         slots
             .par_chunks_mut(1)
@@ -494,7 +500,7 @@ impl EvalContext {
                     game,
                     profile,
                     network,
-                    log,
+                    commits,
                     warm,
                     br,
                     u as NodeId,
@@ -628,54 +634,9 @@ impl EvalContext {
                 delta.insert(u, v, game.w(u, v));
             }
         }
-        // Persistent BR bound tables ride the same staging as the warm
-        // vectors. Ahead of a removal, each built cache's exact base
-        // distances flush their pending committed inserts (the replay
-        // must see the base graph before edges leave it — the same
-        // pre-removal sync `apply_delta` performs for warm vectors).
-        let has_br = self
-            .br
-            .iter()
-            .any(|c| c.as_ref().is_some_and(|c| c.is_built()));
-        if has_br && !delta.removes().is_empty() {
-            for cache in self.br.iter_mut().flatten() {
-                cache.flush_d0(&self.insert_log);
-            }
-        }
-        self.apply_delta_inner(&delta);
-        if has_br {
-            // `removed_buf` holds what actually left the network.
-            if !self.removed_buf.is_empty() {
-                let removed = std::mem::take(&mut self.removed_buf);
-                for cache in self.br.iter_mut().flatten() {
-                    cache.on_removals(&removed, u);
-                }
-                self.removed_buf = removed;
-            }
-            if !delta.inserts().is_empty() {
-                for cache in self.br.iter_mut().flatten() {
-                    cache.on_inserts(delta.inserts(), u);
-                }
-            }
-            // Ownership flips: a strategy edge crossing the *other*
-            // endpoint's sole-owned boundary without any network change
-            // (the delta above is empty for it) still moves that edge
-            // across the other endpoint's base graph.
-            for &v in old.difference(new) {
-                if profile.owns(v, u) {
-                    if let Some(cache) = self.br[v as usize].as_deref_mut() {
-                        cache.lose_co_owned(u, game.w(u, v), &self.insert_log);
-                    }
-                }
-            }
-            for &v in new.difference(old) {
-                if profile.owns(v, u) {
-                    if let Some(cache) = self.br[v as usize].as_deref_mut() {
-                        cache.gain_co_owned(u, game.w(u, v), &self.insert_log);
-                    }
-                }
-            }
-        }
+        // An empty delta (an ownership flip of a co-owned edge) still
+        // changes the profile, so it still bumps the BR memo key.
+        self.apply_delta(&delta);
         self.delta = delta;
         #[cfg(debug_assertions)]
         {
@@ -733,20 +694,10 @@ impl EvalContext {
     /// are no-ops — for the network *and* the warm vectors, which must
     /// never be "repaired" for a change that did not happen.
     ///
-    /// A raw delta bypasses the profile knowledge the persistent BR bound
-    /// tables are maintained through (mover identity, ownership flips),
-    /// so this entry point invalidates them; they rebuild on their
-    /// owner's next BR activation. The run loop's own moves go through
-    /// [`EvalContext::apply_strategy_change`], which delta-maintains the
-    /// tables instead.
+    /// Every call bumps the context's move counter, which outdates every
+    /// BR memo.
     pub fn apply_delta(&mut self, delta: &NetworkDelta) {
-        for cache in self.br.iter_mut().flatten() {
-            cache.invalidate();
-        }
-        self.apply_delta_inner(delta);
-    }
-
-    fn apply_delta_inner(&mut self, delta: &NetworkDelta) {
+        self.commits += 1;
         let will_remove = delta
             .removes()
             .iter()
@@ -837,8 +788,8 @@ impl Engine {
         self.ctx.network = AdjacencyList::default();
         self.ctx.valid.fill(false);
         self.ctx.insert_log.clear();
-        // BR bound tables own graph copies of the last job's network;
-        // drop them outright (they are absent for non-BR work anyway).
+        // BR slots hold buffers sized for the last job; drop them
+        // outright (they are absent for non-BR work anyway).
         for slot in &mut self.ctx.br {
             *slot = None;
         }
@@ -977,18 +928,18 @@ pub fn run(game: &Game, start: Profile, cfg: &DynamicsConfig) -> RunResult {
 /// The greedy rules price their candidate moves speculatively against
 /// `warm` ([`best_move_among_speculative`]: the vector is borrowed
 /// mutably for apply → read → rollback and comes back bitwise
-/// untouched). The exact-best-response rule searches off `u`'s
-/// persistent bound tables in `br`, built on first use and brought
-/// current through the pending `insert_log` suffix
-/// ([`BrBoundCache::ensure`]).
+/// untouched). The exact-best-response rule runs [`BrSearch`] in `u`'s
+/// slot `br` (created on first use), unless the slot's memo was stored
+/// at the current move counter `commits` against the same current cost
+/// (a caller passing a profile other than the context's gets a search).
 #[allow(clippy::too_many_arguments)]
 fn agent_change(
     game: &Game,
     profile: &Profile,
     network: &AdjacencyList,
-    insert_log: &[(NodeId, NodeId, f64)],
+    commits: u64,
     warm: &mut DynamicSssp,
-    br: &mut Option<Box<BrBoundCache>>,
+    br: &mut Option<Box<BrSlot>>,
     u: NodeId,
     rule: ResponseRule,
     pricing: SpeculativePricing,
@@ -996,10 +947,33 @@ fn agent_change(
     let current = gncg_core::cost::edge_cost(game, profile, u) + warm.sum();
     let moves = match rule {
         ResponseRule::ExactBestResponse => {
-            let cache = br.get_or_insert_with(|| Box::new(BrBoundCache::new(u)));
-            debug_assert_eq!(cache.agent(), u, "BR cache routed to the wrong agent");
-            cache.ensure(game, profile, network, insert_log);
-            let br = cache.best_response(game, profile, network, current);
+            let slot = br.get_or_insert_with(Box::default);
+            let br = match &slot.memo {
+                Some((at, memo))
+                    if *at == commits && memo.current_cost.to_bits() == current.to_bits() =>
+                {
+                    #[cfg(debug_assertions)]
+                    {
+                        let oracle = gncg_core::response::exact_best_response_given_current(
+                            game, profile, network, u, current,
+                        );
+                        assert!(
+                            memo.strategy == oracle.strategy
+                                && memo.cost.to_bits() == oracle.cost.to_bits()
+                                && memo.current_cost.to_bits() == current.to_bits(),
+                            "memoized best response of agent {u} diverged from the oracle"
+                        );
+                    }
+                    memo.clone()
+                }
+                _ => {
+                    let fresh = slot
+                        .search
+                        .best_response(game, profile, network, u, current);
+                    slot.memo = Some((commits, fresh.clone()));
+                    fresh
+                }
+            };
             return br
                 .improves()
                 .then_some((br.strategy, br.current_cost, br.cost));
@@ -1013,7 +987,7 @@ fn agent_change(
 
 /// Whether agent `u` has **no** improving change under `rule`, evaluated
 /// incrementally against `ctx`'s cached network, warm distance vectors
-/// and BR bound tables (the same evaluation the run loop itself uses).
+/// and BR slots (the same evaluation the run loop itself uses).
 /// `ctx` must describe `profile`'s network — e.g. the context of the
 /// [`Engine`] that just produced `profile`, via [`Engine::context_mut`] —
 /// so certification costs one warm-vector read plus one deviation scan

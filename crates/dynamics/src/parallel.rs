@@ -33,23 +33,7 @@ pub fn sweep<F>(
 where
     F: Fn(usize, usize) -> Profile + Sync,
 {
-    let jobs: Vec<(usize, f64)> = (0..hosts.len())
-        .flat_map(|i| alphas.iter().map(move |&a| (i, a)))
-        .collect();
-    jobs.into_par_iter()
-        .map(|(i, alpha)| {
-            let game = Game::new(hosts[i].clone(), alpha);
-            let start = start_of(i, game.n());
-            let result = run(&game, start, cfg);
-            let social_cost = gncg_core::cost::social_cost(&game, &result.profile);
-            SweepPoint {
-                alpha,
-                instance: i,
-                result,
-                social_cost,
-            }
-        })
-        .collect()
+    sweep_priced(hosts, alphas, cfg, SpeculativePricing::FullSum, start_of)
 }
 
 /// [`sweep`] with an explicit speculative-pricing policy
@@ -58,7 +42,7 @@ where
 /// ([`SpeculativePricing::RegionDelta`]) pricing — still bitwise
 /// deterministic at every thread count, under that policy's own byte
 /// stream (sub-ulp ties may resolve differently from the default).
-pub fn sweep_priced<F>(
+fn sweep_priced<F>(
     hosts: &[SymMatrix],
     alphas: &[f64],
     cfg: &DynamicsConfig,

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use gncg_core::cost::agent_cost_in;
-use gncg_core::response::{best_move_among_given_current, exact_best_response_given_current};
+use gncg_core::response::{best_move_among_given_current, BrSearch};
 use gncg_core::{Game, Move, NodeId, Profile};
 
 use crate::cycle::{CycleDetector, Recurrence};
@@ -58,6 +58,7 @@ pub fn run_simultaneous(
     let mut detector = CycleDetector::new();
     detector.observe(&profile);
     let mut moves = 0usize;
+    let mut search = BrSearch::new();
     for round in 0..max_rounds {
         // All agents respond to the same snapshot, so one network build
         // serves the whole round (this is exactly the simultaneous-move
@@ -68,8 +69,7 @@ pub fn run_simultaneous(
             let current = agent_cost_in(game, &profile, &network, u).total();
             let moves = match rule {
                 ResponseRule::ExactBestResponse => {
-                    let br =
-                        exact_best_response_given_current(game, &profile, &network, u, current);
+                    let br = search.best_response(game, &profile, &network, u, current);
                     if br.improves() {
                         changes.push((u, br.strategy));
                     }

@@ -1,17 +1,13 @@
-//! Equivalence of the persistent BR bound tables (`BrBoundCache`) with
-//! a from-scratch exact best response (`exact_best_response`, which
-//! rebuilds the network and the whole search state on every call).
+//! Equivalence of the engine's exact best response — a `BrSearch` per
+//! agent plus a memo keyed on the context's move counter — with a
+//! from-scratch search through the optimistic-network oracle
+//! (`exact_best_response_given_current` on a freshly built network).
 //!
-//! The cached tables are delta-maintained through arbitrary interleaved
-//! insert / remove / swap strategy changes, and past the staleness budget
-//! they rebuild outright — in every state the chosen best response and
-//! its cost must be **bitwise identical** to a fresh `BrSearch`. These
-//! tests drive the public engine surface; the per-node guarantees (bound
-//! admissibility at every pruned node, bitwise `d0`, lock-step base
-//! graph) are asserted *inside* every cached search by the
-//! `debug_assertions` oracle in `BrBoundCache::best_response`, which is
-//! active in these test builds — each probe below therefore also runs
-//! the full per-node admissibility check.
+//! Contexts are driven through arbitrary interleaved insert / remove /
+//! swap strategy changes; in every state the verdicts, regrets and whole
+//! runs must match the from-scratch search. In these debug builds every
+//! `BrSearch` and every memo hit is also asserted bitwise (strategy and
+//! cost) against the oracle inside the engine.
 
 mod common;
 
@@ -20,12 +16,13 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use common::{assert_same_run, reference_run};
-use gncg_core::response::exact_best_response;
+use gncg_core::cost::agent_cost_in;
+use gncg_core::response::{exact_best_response_given_current, BestResponse};
 use gncg_core::{Game, NodeId, Profile};
 use gncg_dynamics::engine::{
-    agent_is_stable_given_current, DynamicsConfig, Engine, EvalContext, ResponseRule, Scheduler,
+    agent_is_stable_given_current, DynamicsConfig, Engine, EvalContext, RegretMeter, ResponseRule,
+    Scheduler,
 };
-use gncg_dynamics::BR_STALENESS_BUDGET;
 
 const RULE: ResponseRule = ResponseRule::ExactBestResponse;
 
@@ -73,9 +70,33 @@ fn decode_strategy(a: NodeId, mask: u32, n: usize) -> BTreeSet<NodeId> {
         .collect()
 }
 
+/// `u`'s best response from scratch: a fresh network and the
+/// optimistic-network oracle.
+fn br_from_scratch(g: &Game, profile: &Profile, u: NodeId) -> BestResponse {
+    let network = profile.build_network(g);
+    let current = agent_cost_in(g, profile, &network, u).total();
+    exact_best_response_given_current(g, profile, &network, u, current)
+}
+
 /// Whether `u` is stable under a from-scratch exact best response.
 fn stable_from_scratch(g: &Game, profile: &Profile, u: NodeId) -> bool {
-    !exact_best_response(g, profile, u).improves()
+    !br_from_scratch(g, profile, u).improves()
+}
+
+/// `u`'s regret from scratch, as the regret meter defines it.
+fn regret_from_scratch(g: &Game, profile: &Profile, u: NodeId) -> f64 {
+    let br = br_from_scratch(g, profile, u);
+    if !br.improves() {
+        0.0
+    } else if br.current_cost.is_infinite() {
+        f64::INFINITY
+    } else {
+        br.current_cost - br.cost
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Applies one script step to `profile` + `ctx` the way the run loop
@@ -95,12 +116,11 @@ fn commit(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Cached-bound BR ≡ from-scratch BR across all nine factory hosts
+    /// The engine's BR ≡ from-scratch BR across all nine factory hosts
     /// under random interleaved insert/remove/swap deltas. Stability
     /// verdicts of a context evolved through the move sequence must agree
     /// step for step with a from-scratch best response on the same
-    /// profile (and every cached probe self-checks bitwise against a
-    /// fresh `BrSearch` via the debug oracle).
+    /// profile, memo hits included.
     #[test]
     fn cached_br_matches_rebuild_under_interleaved_deltas(
         g in factory_game(8),
@@ -117,8 +137,7 @@ proptest! {
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, probe, RULE);
             prop_assert_eq!(got, want, "agent {} stability diverged", probe);
         }
-        // Final sweep: every agent's verdict agrees (every cache that was
-        // built replays its whole pending history here).
+        // Final sweep: every agent's verdict agrees.
         for u in 0..n as NodeId {
             let want = stable_from_scratch(&g, &profile, u);
             let got = agent_is_stable_given_current(&g, &profile, &mut cached, u, RULE);
@@ -126,10 +145,10 @@ proptest! {
         }
     }
 
-    /// Full BR-rule dynamics runs off the cached tables are bitwise
-    /// identical to the from-scratch reference run (rebuild-every-
-    /// activation pricing): same final profile, outcome, move count,
-    /// trace and regret series, for every scheduler.
+    /// Full BR-rule dynamics runs are bitwise identical to the
+    /// from-scratch reference run (network rebuilt and priced through the
+    /// oracle at every activation): same final profile, outcome, move
+    /// count, trace and regret series, for every scheduler.
     #[test]
     fn br_dynamics_identical_under_both_policies(
         g in factory_game(7),
@@ -155,55 +174,11 @@ proptest! {
     }
 }
 
-/// Drives a single agent's cache past the staleness-rebuild threshold:
-/// `BR_STALENESS_BUDGET + 1` distinct removals land between two of its
-/// activations, each absorbed as an admissible phantom edge, and the next
-/// activation rebuilds the tables outright. Probes on both sides of the
-/// threshold self-check bitwise against a fresh search (debug oracle).
-#[test]
-fn staleness_budget_triggers_rebuild() {
-    let extra = BR_STALENESS_BUDGET + 1;
-    let n = extra + 2; // agents 1..=extra+1 each buy one chain edge
-    let host = gncg_metrics::build_host("unit", n, 0).expect("unit host");
-    let g = Game::new(host, 1.2);
-    let mut profile = Profile::star(n, 0);
-    for i in 1..=extra as NodeId {
-        profile.buy(i, i + 1);
-    }
-    let mut ctx = EvalContext::new(&g, &profile);
-
-    // First activation of agent 0 builds its tables.
-    agent_is_stable_given_current(&g, &profile, &mut ctx, 0, RULE);
-    let cache = ctx.br_cache(0).expect("cache built on first BR activation");
-    assert!(cache.is_built());
-    assert_eq!(cache.stale_removals(), 0);
-
-    // Every chain owner drops its extra edge — none incident to agent 0,
-    // so each removal goes stale-admissible instead of being repaired.
-    for i in 1..=extra as NodeId {
-        let mut s = profile.strategy(i).clone();
-        assert!(s.remove(&(i + 1)));
-        commit(&g, &mut profile, &mut ctx, i, s);
-        assert_eq!(
-            ctx.br_cache(0).unwrap().stale_removals(),
-            i as usize,
-            "each removal must add exactly one phantom edge"
-        );
-    }
-    assert!(ctx.br_cache(0).unwrap().stale_removals() > BR_STALENESS_BUDGET);
-
-    // The next activation crosses the budget: full rebuild, zero
-    // staleness, and a verdict matching a from-scratch context.
-    let got = agent_is_stable_given_current(&g, &profile, &mut ctx, 0, RULE);
-    assert_eq!(ctx.br_cache(0).unwrap().stale_removals(), 0);
-    assert_eq!(got, stable_from_scratch(&g, &profile, 0));
-}
-
-/// Re-probing an agent with zero intervening deltas returns the
-/// memoized result (observable via `memo_is_warm`; in these debug
-/// builds every hit is still oracle-checked against a fresh search),
-/// and any committed delta kills the memo of every other agent's cache.
-/// Verdicts match a from-scratch best response throughout.
+/// A probe with no committed move since the agent's last search returns
+/// the memoized result, which is bitwise the first answer; after a move by
+/// another agent the next probe searches afresh and equals a from-scratch
+/// search. The regret meter probes every agent, so its per-agent regrets
+/// carry each answer's cost bits.
 #[test]
 fn repeat_probes_memoize_until_a_delta_lands() {
     let n = 9usize;
@@ -211,76 +186,79 @@ fn repeat_probes_memoize_until_a_delta_lands() {
     let g = Game::new(host, 1.3);
     let mut profile = Profile::star(n, 0);
     let mut ctx = EvalContext::new(&g, &profile);
+    let mut meter = RegretMeter::new();
+    let fresh = |profile: &Profile| -> Vec<f64> {
+        (0..n as NodeId)
+            .map(|u| regret_from_scratch(&g, profile, u))
+            .collect()
+    };
 
-    // Two identical sweeps: the second is all memo hits.
-    for _ in 0..2 {
-        for u in 0..n as NodeId {
-            let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = stable_from_scratch(&g, &profile, u);
-            assert_eq!(got, want);
-        }
-    }
+    // Probe, then re-probe with nothing committed in between: the memo
+    // answers, bit for bit the first answer, and the single-agent
+    // verdicts agree with it.
+    meter.measure(&g, &profile, &mut ctx, RULE);
+    let first = meter.regrets().to_vec();
+    assert_eq!(bits(&first), bits(&fresh(&profile)));
+    meter.measure(&g, &profile, &mut ctx, RULE);
+    assert_eq!(bits(meter.regrets()), bits(&first));
     for u in 0..n as NodeId {
-        assert!(ctx.br_cache(u).unwrap().memo_is_warm());
+        let stable = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
+        assert_eq!(stable, first[u as usize] == 0.0, "agent {u}");
     }
 
-    // One committed purchase: every *other* agent's memo dies on the
-    // spot (the mover's own survives until its next probe, where the
-    // changed strategy misses it), and verdicts keep matching.
+    // A move by agent 3 changes every other agent's network: each probe
+    // now equals a fresh search on the new profile.
     let mut s = profile.strategy(3).clone();
-    s.insert(7);
-    let old = profile.strategy(3).clone();
-    profile.set_strategy(3, s);
-    ctx.apply_strategy_change(&g, &profile, 3, &old);
-    for u in 0..n as NodeId {
-        if u != 3 {
-            assert!(
-                !ctx.br_cache(u).unwrap().memo_is_warm(),
-                "agent {u}'s memo must die with the committed insert"
-            );
-        }
-    }
-    for u in 0..n as NodeId {
-        let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        let want = stable_from_scratch(&g, &profile, u);
-        assert_eq!(got, want, "agent {u} diverged after the memo-killing delta");
-        assert!(ctx.br_cache(u).unwrap().memo_is_warm());
-    }
+    assert!(s.insert(7));
+    commit(&g, &mut profile, &mut ctx, 3, s);
+    meter.measure(&g, &profile, &mut ctx, RULE);
+    let after = meter.regrets().to_vec();
+    assert_eq!(bits(&after), bits(&fresh(&profile)));
+    assert_ne!(
+        bits(&after),
+        bits(&first),
+        "the move must change some regret"
+    );
+    meter.measure(&g, &profile, &mut ctx, RULE);
+    assert_eq!(bits(meter.regrets()), bits(&after));
 }
 
-/// Under the budget, removals stay stale (weaker pruning, never a wrong
-/// answer): probes keep matching a from-scratch best response while phantoms are
-/// live, without triggering a rebuild.
+/// The memo answers only a probe whose current cost matches the stored
+/// one: a profile with the same network but other edge ownership (each
+/// leaf buys its own spoke) is searched afresh, not read off the memo of
+/// the star the context was built for. The regret meter probes every
+/// agent, so its regrets carry each answer's cost bits.
 #[test]
-fn stale_bounds_stay_admissible_under_budget() {
-    let n = 10usize;
-    let host = gncg_metrics::build_host("metric", n, 3).expect("metric host");
-    let g = Game::new(host, 1.0);
-    let mut profile = Profile::star(n, 0);
-    for i in 1..6 as NodeId {
-        profile.buy(i, i + 1);
+fn memo_misses_on_a_profile_with_other_ownership() {
+    let n = 9usize;
+    let host = gncg_metrics::build_host("metric", n, 5).expect("metric host");
+    let g = Game::new(host, 1.3);
+    let star = Profile::star(n, 0);
+    let mut leaves_pay = Profile::empty(n);
+    for v in 1..n as NodeId {
+        leaves_pay.buy(v, 0);
     }
-    let mut ctx = EvalContext::new(&g, &profile);
-
-    // Build every agent's tables once.
+    let (a, b) = (star.build_network(&g), leaves_pay.build_network(&g));
     for u in 0..n as NodeId {
-        let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-        let want = stable_from_scratch(&g, &profile, u);
-        assert_eq!(got, want);
-    }
-    // Three removals, probing after each: the phantoms stay resident.
-    for i in 1..4 as NodeId {
-        let mut s = profile.strategy(i).clone();
-        assert!(s.remove(&(i + 1)));
-        let old = profile.strategy(i).clone();
-        profile.set_strategy(i, s);
-        ctx.apply_strategy_change(&g, &profile, i, &old);
-        for u in 0..n as NodeId {
-            let got = agent_is_stable_given_current(&g, &profile, &mut ctx, u, RULE);
-            let want = stable_from_scratch(&g, &profile, u);
-            assert_eq!(got, want, "agent {u} diverged with phantoms live");
+        for v in 0..n as NodeId {
+            assert_eq!(a.has_edge(u, v), b.has_edge(u, v), "same network");
         }
-        // Probed caches of non-movers kept the removal stale, not repaired.
-        assert!(ctx.br_cache(0).unwrap().stale_removals() as u32 >= i - 1);
     }
+    let fresh = |profile: &Profile| -> Vec<u64> {
+        let regrets: Vec<f64> = (0..n as NodeId)
+            .map(|u| regret_from_scratch(&g, profile, u))
+            .collect();
+        bits(&regrets)
+    };
+    let mut ctx = EvalContext::new(&g, &star);
+    let mut meter = RegretMeter::new();
+    meter.measure(&g, &star, &mut ctx, RULE);
+    assert_eq!(bits(meter.regrets()), fresh(&star));
+    meter.measure(&g, &leaves_pay, &mut ctx, RULE);
+    assert_eq!(bits(meter.regrets()), fresh(&leaves_pay));
+    assert_ne!(
+        fresh(&leaves_pay),
+        fresh(&star),
+        "the ownership change must move some regret"
+    );
 }

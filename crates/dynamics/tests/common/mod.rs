@@ -3,12 +3,13 @@
 //!
 //! Every activation rebuilds the network from the profile and prices the
 //! agent's move through the oracles of `gncg_core::response`:
-//! `exact_best_response` for the exact best response, and
-//! `best_move_among_given_current` over the rule's move space for the
-//! greedy and add rules. Nothing is cached between activations, so an
-//! [`Engine`](gncg_dynamics::Engine) run that matches this one bit for
-//! bit shows that the warm vectors, their removal repairs, the
-//! speculative scan and the BR bound tables changed nothing. Only the
+//! `exact_best_response_given_current` (the optimistic-network search)
+//! for the exact best response, and `best_move_among_given_current` over
+//! the rule's move space for the greedy and add rules. Nothing is cached
+//! between activations, so an [`Engine`](gncg_dynamics::Engine) run that
+//! matches this one bit for bit shows that the warm vectors, their
+//! removal repairs, the speculative scan, the facility-location search
+//! and its memo changed nothing. Only the
 //! default `SpeculativePricing::FullSum` is modelled, and checkpoints are
 //! not.
 
@@ -19,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use gncg_core::cost::{agent_cost, agent_cost_in};
-use gncg_core::response::{best_move_among_given_current, exact_best_response};
+use gncg_core::response::{best_move_among_given_current, exact_best_response_given_current};
 use gncg_core::{Game, Move, NodeId, Profile};
 use gncg_dynamics::cycle::CycleDetector;
 use gncg_dynamics::trace::{Trace, TraceEntry};
@@ -33,9 +34,11 @@ fn change(
     u: NodeId,
     rule: ResponseRule,
 ) -> Option<(BTreeSet<NodeId>, f64, f64)> {
+    let network = profile.build_network(game);
+    let current = agent_cost_in(game, profile, &network, u).total();
     let moves = match rule {
         ResponseRule::ExactBestResponse => {
-            let br = exact_best_response(game, profile, u);
+            let br = exact_best_response_given_current(game, profile, &network, u, current);
             return br
                 .improves()
                 .then_some((br.strategy, br.current_cost, br.cost));
@@ -43,8 +46,6 @@ fn change(
         ResponseRule::BestGreedyMove => Move::greedy_moves(profile, u),
         ResponseRule::AddOnly => Move::add_moves(profile, u),
     };
-    let network = profile.build_network(game);
-    let current = agent_cost_in(game, profile, &network, u).total();
     best_move_among_given_current(game, profile, &network, u, current, &moves)
         .map(|(m, c)| (m.apply(u, profile.strategy(u)), current, c))
 }

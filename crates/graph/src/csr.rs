@@ -14,13 +14,13 @@
 //!   first (the stamp bump replaces the `O(n)` re-initialisation),
 //! * [`DynamicSssp`] — a distance vector maintained under edge
 //!   **insertions** (undo-logged [`DynamicSssp::add_edge`] for the
-//!   best-response branch-and-bound in `gncg_core::response`, permanent
+//!   optimistic-network best-response oracle in `gncg_core::response`, permanent
 //!   [`DynamicSssp::relax_insert`] for committed moves) *and* edge
 //!   **removals** ([`DynamicSssp::remove_edge`], Ramalingam–Reps-style
 //!   affected-region re-relaxation; [`DynamicSssp::remove_edges`] batches
 //!   several removals into one affected-region pass) — the engine under
-//!   both the incremental best-response search and the dynamics engine's
-//!   warm per-agent distance vectors, which survive moves of every kind,
+//!   both that oracle and the dynamics engine's warm per-agent distance
+//!   vectors, which survive moves of every kind,
 //! * [`MaskedEdges`] — a zero-copy [`EdgeSource`] view with a few edges
 //!   hidden, so a *speculative* removal can be priced against a graph
 //!   that is never actually mutated.
@@ -61,7 +61,7 @@
 //! would produce: both compute the exact minimum over identical sets of
 //! left-to-right path prefix sums, so equal values — not merely
 //! approximately equal ones — are guaranteed, which is what lets the
-//! incremental branch-and-bound certify bit-identical costs.
+//! branch-and-bound searches certify bit-identical costs.
 //!
 //! # Invariants of the deletion update
 //!
@@ -215,6 +215,28 @@ impl Csr {
             offsets,
             targets,
             weights,
+        }
+    }
+
+    /// Re-snapshots `g` into this CSR's buffers with every edge at
+    /// `skip` left out (`skip` stays a node, with no neighbors) — the
+    /// graph `G − skip` the exact best-response search relaxes over.
+    /// Allocates nothing once the buffers have grown to `g`'s size.
+    pub fn assign_without(&mut self, g: &AdjacencyList, skip: NodeId) {
+        self.offsets.clear();
+        self.targets.clear();
+        self.weights.clear();
+        self.offsets.push(0);
+        for u in 0..g.n() as NodeId {
+            if u != skip {
+                for &(v, w) in g.neighbors(u) {
+                    if v != skip {
+                        self.targets.push(v);
+                        self.weights.push(w);
+                    }
+                }
+            }
+            self.offsets.push(self.targets.len() as u32);
         }
     }
 
@@ -626,8 +648,8 @@ impl BucketRelax<'_> {
 
 /// A single-source distance vector maintained under edge insertions
 /// (undo-logged or permanent) **and** edge removals — the workhorse of
-/// both the incremental best-response search and the dynamics engine's
-/// warm per-agent distance vectors.
+/// both the optimistic-network best-response oracle and the dynamics
+/// engine's warm per-agent distance vectors.
 ///
 /// See the module docs for the relaxation/undo and deletion invariants.
 #[derive(Clone, Debug, Default)]

@@ -13,8 +13,8 @@
 //! * [`csr`] — CSR graph snapshots, the allocation-free
 //!   [`DijkstraScratch`], and the [`DynamicSssp`] engine (undo-logged
 //!   insertions plus Ramalingam–Reps deletion repair) under the
-//!   incremental best-response search and the dynamics engine's warm
-//!   distance vectors,
+//!   best-response searches and the dynamics engine's warm distance
+//!   vectors,
 //! * [`delta`] — [`NetworkDelta`], the batched edge-change description
 //!   every network mutation flows through,
 //! * [`dijkstra`] / [`apsp`] — single-source and (rayon-parallel) all-pairs

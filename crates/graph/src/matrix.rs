@@ -18,21 +18,37 @@ pub struct SymMatrix {
 }
 
 impl SymMatrix {
+    /// The entry count `n·n` of an `n × n` matrix, or `None` when its
+    /// `n·n·size_of::<f64>()` bytes exceed `isize::MAX`, the largest
+    /// allocation Rust permits (past it, `n·n` itself can wrap). Spec
+    /// validation and the CLI refuse such an `n` with this same check.
+    pub fn checked_len(n: usize) -> Option<usize> {
+        let len = n.checked_mul(n)?;
+        let bytes = len.checked_mul(std::mem::size_of::<f64>())?;
+        (bytes <= isize::MAX as usize).then_some(len)
+    }
+
+    fn alloc_len(n: usize) -> usize {
+        Self::checked_len(n).expect("n×n f64 matrix exceeds isize::MAX bytes")
+    }
+
     /// Creates an `n × n` matrix filled with `fill` off the diagonal and
-    /// zeros on the diagonal.
+    /// zeros on the diagonal. Panics when the matrix exceeds `isize::MAX`
+    /// bytes ([`SymMatrix::checked_len`]).
     pub fn filled(n: usize, fill: f64) -> Self {
-        let mut data = vec![fill; n * n];
+        let mut data = vec![fill; Self::alloc_len(n)];
         for i in 0..n {
             data[i * n + i] = 0.0;
         }
         SymMatrix { n, data }
     }
 
-    /// Creates an `n × n` zero matrix.
+    /// Creates an `n × n` zero matrix. Panics when the matrix exceeds
+    /// `isize::MAX` bytes ([`SymMatrix::checked_len`]).
     pub fn zeros(n: usize) -> Self {
         SymMatrix {
             n,
-            data: vec![0.0; n * n],
+            data: vec![0.0; Self::alloc_len(n)],
         }
     }
 
@@ -143,6 +159,35 @@ impl SymMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn checked_len_stops_at_the_isize_allocation_bound() {
+        // (2^30)²·8 = 2^63 bytes is one byte over isize::MAX; 2^32 wraps n·n.
+        assert_eq!(SymMatrix::checked_len(4), Some(16));
+        assert_eq!(
+            SymMatrix::checked_len((1 << 30) - 1),
+            Some(((1 << 30) - 1) * ((1 << 30) - 1))
+        );
+        for n in [1usize << 30, 1 << 32, usize::MAX] {
+            assert_eq!(SymMatrix::checked_len(n), None, "n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n×n f64 matrix exceeds isize::MAX bytes")]
+    fn filled_refuses_a_matrix_past_the_allocation_bound() {
+        // n·n wraps to a small length here: without the check the diagonal
+        // write indexed past the buffer. The check fires before any
+        // allocation.
+        SymMatrix::filled(1 << (usize::BITS / 2), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "n×n f64 matrix exceeds isize::MAX bytes")]
+    fn zeros_refuses_a_matrix_past_the_allocation_bound() {
+        SymMatrix::zeros(usize::MAX);
+    }
 
     #[test]
     fn filled_has_zero_diagonal() {

@@ -142,6 +142,14 @@ impl Options {
                 o.alpha
             ));
         }
+        // `SymMatrix::filled` would panic on such an `n`; the same bound
+        // as `ScenarioSpec::validate`.
+        if SymMatrix::checked_len(o.n).is_none() {
+            invalid(format_args!(
+                "n = {} is too large: its n×n host matrix overflows the address space",
+                o.n
+            ));
+        }
         o
     }
 

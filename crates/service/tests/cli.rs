@@ -264,6 +264,25 @@ fn cli_refuses_host_matrix_overflow_with_exit_2() {
 }
 
 #[test]
+fn one_instance_commands_refuse_host_matrix_overflow_with_exit_2() {
+    // n = 2^32 wraps n·n: these commands used to panic in
+    // SymMatrix::filled (exit 101). The flag parser refuses the n before
+    // any host is built.
+    for cmd in ["simulate", "poa", "analyze"] {
+        let out = gncg()
+            .args([cmd, "--host", "unit", "--n", "4294967296", "--alpha", "1"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("too large"),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
 fn cli_resume_refuses_broken_manifest() {
     // The CLI rebuilds the spec from the manifest, so a *valid* edited
     // manifest is (by construction) self-consistent; the mismatch guard

@@ -23,6 +23,7 @@ use gncg_dynamics::{
     Checkpoint, DynamicsConfig, Engine, Outcome, ResponseRule, RunResult, Scheduler,
     SpeculativePricing,
 };
+use gncg_graph::SymMatrix;
 
 /// JSONL schema version emitted by [`CellResult::to_jsonl`] consumers
 /// (bumped when the line format changes incompatibly).
@@ -410,10 +411,7 @@ impl ScenarioSpec {
             }
             // The host is an n×n f64 matrix; no allocation may exceed
             // isize::MAX bytes, and past that n·n itself can wrap.
-            let host_bytes = n
-                .checked_mul(n)
-                .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()));
-            if host_bytes.is_none_or(|b| b > isize::MAX as usize) {
+            if SymMatrix::checked_len(n).is_none() {
                 return Err(format!(
                     "n = {n} is too large: its n×n host matrix overflows the address space"
                 ));

@@ -26,18 +26,11 @@
 # (the streaming max-regret meter's per-round pricing scan; ≥ 1.0, the
 # price of equilibrium-quality observability), and
 # `br_grid_speedup_n14` = br_grid/rebuild/14 ÷ br_grid/cached/14 (full
-# exact-best-response dynamics over the br-grid n = 14 column with the
-# persistent per-agent BR bound tables resident across activations vs
-# torn down and rebuilt every activation) —
+# exact-best-response stability sweeps over the br-grid n = 14 column
+# through the engine's facility-location search and memo vs the
+# optimistic-network oracle on every activation) —
 # into BENCH_hotpath.json at the repo root, so every PR leaves a perf
 # trajectory point behind.
-#
-# Also asserts the exact_bnb_parallel sequential cutoff holds: averaged
-# (geometric mean) over the measured sizes, the parallel entry point must
-# not cost more than 1.2× the sequential solver (below the cutoff it *is*
-# the sequential solver plus one branch; above it, losing to sequential
-# means the split is mis-sized). The figure lands in the snapshot as
-# `bnb_parallel_overhead_geomean`.
 #
 # Knobs: CRITERION_LITE_SAMPLES (default 10 per group),
 #        CRITERION_LITE_SAMPLE_MS (default 20 ms per sample).
@@ -51,17 +44,7 @@ export CRITERION_LITE_OUT="$OUT_DIR"
 rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR"
 
-# The best_response group feeds the bnb_parallel_overhead_geomean gate;
-# below the MIN_PARALLEL_CANDIDATES = 18 cutoff (every measured n except
-# 20) the parallel entry point runs the identical sequential code, so
-# any per-size gap there is pure timer noise — one loaded-runner sample
-# once put exact_bnb_parallel/14 at 2.0x its sequential twin. 25 samples
-# instead of the default 10 washes single outliers out of the geomean.
-echo "== cargo bench --bench best_response (25 samples)" >&2
-CRITERION_LITE_SAMPLES="${CRITERION_LITE_SAMPLES:-25}" \
-    cargo bench -p gncg-bench --bench best_response >&2
-
-for bench in apsp dynamics move_scan service_roundtrip; do
+for bench in best_response apsp dynamics move_scan service_roundtrip; do
     echo "== cargo bench --bench $bench" >&2
     cargo bench -p gncg-bench --bench "$bench" >&2
 done
@@ -76,7 +59,7 @@ CRITERION_LITE_SAMPLES=1 CRITERION_LITE_SAMPLE_MS=1 \
     cargo bench -p gncg-bench --bench large_n >&2
 
 python3 - "$OUT_DIR" "$REPO_ROOT/BENCH_hotpath.json" <<'PY'
-import json, math, pathlib, sys, datetime
+import json, pathlib, sys, datetime
 
 out_dir, dest = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
 medians = {}
@@ -129,32 +112,6 @@ for fig, seq, par in (
     s, p = medians.get(seq), medians.get(par)
     if s and p:
         snapshot[fig] = round(s / p, 2)
-
-# Cutoff guard: averaged over every measured n, the parallel BnB entry
-# point must not lose to the sequential solver. Below the cutoff the two
-# arms run identical code, so single-point gaps are scheduler noise
-# (±25% has been observed on a loaded single-core runner); the geometric
-# mean across sizes averages that out while still catching the
-# structural regression the cutoff fixed (unconditional splitting
-# measured ~1.27x geomean before MIN_PARALLEL_CANDIDATES existed).
-TOLERANCE = 1.20
-ratios = {}
-for name, par_ns in medians.items():
-    prefix = "best_response/exact_bnb_parallel/"
-    if name.startswith(prefix):
-        n = name[len(prefix):]
-        seq_ns = medians.get(f"best_response/exact_bnb/{n}")
-        if seq_ns:
-            ratios[n] = par_ns / seq_ns
-if ratios:
-    geomean = math.exp(sum(map(math.log, ratios.values())) / len(ratios))
-    snapshot["bnb_parallel_overhead_geomean"] = round(geomean, 2)
-    if geomean > TOLERANCE:
-        per_n = ", ".join(f"n={n}: {r:.2f}x" for n, r in sorted(ratios.items()))
-        sys.exit(
-            f"exact_bnb_parallel cutoff regression: geomean {geomean:.2f}x > "
-            f"{TOLERANCE}x vs exact_bnb ({per_n})"
-        )
 
 dest.write_text(json.dumps(snapshot, indent=2) + "\n")
 print(f"wrote {dest} ({len(medians)} benchmarks)")

@@ -96,10 +96,10 @@ GNCG_THREADS=1 swap_heavy_grid
 (unset GNCG_THREADS && swap_heavy_grid)
 
 echo "== br-grid vs committed golden (36 exact-BR cells, n = 12/14)" >&2
-# Exact best responses priced off the persistent per-agent bound tables
-# (BrBoundCache): delta-maintained d0/B* vectors, stale-admissible
-# removals, memoized re-probes. The committed golden locks the cached
-# path's bytes to the rebuild-every-activation baseline at one pool
+# Exact best responses through the engine's facility-location search
+# (a per-agent BrSearch: fresh d0 and seeded c_v tables per search,
+# memoized re-probes with no move in between). The committed golden
+# locks its bytes, recorded under earlier search engines, at one pool
 # thread and at four.
 br_grid() {
   rm -f target/tier1-br-grid.jsonl target/tier1-br-grid.manifest
